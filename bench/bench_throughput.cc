@@ -135,10 +135,11 @@ main(int argc, char **argv)
     unsigned jobs = ap::effectiveJobs(opt.jobs);
     ap::setBatchedWalksDefault(opt.batchedWalks);
     ap::setSimdFilterDefault(opt.simdFilter);
-    // On a single-hardware-thread host the "parallel" pass still runs
-    // (it is the cold baseline for the cache/engine ratios) but its
-    // scaling number is meaningless — mark it skipped and exempt it
-    // from validation instead of reporting a bogus <1x speedup.
+    // At jobs=1, or on a single-hardware-thread host, the "parallel"
+    // pass still runs (it is the cold baseline for the cache/engine
+    // ratios) but its scaling number is meaningless — mark it skipped
+    // and exempt it from validation instead of reporting a bogus <1x
+    // speedup. The printed reason names which of the two applies.
     const bool parallel_skipped =
         std::thread::hardware_concurrency() <= 1 || jobs <= 1;
 
@@ -289,9 +290,9 @@ main(int argc, char **argv)
                     v->identical ? "" : "  NOT IDENTICAL (BUG)");
     }
     if (parallel_skipped) {
-        std::printf("  parallel speedup: skipped (single hardware "
-                    "thread)   trace-cache speedup (vs cold, same "
-                    "jobs): %.2fx\n",
+        std::printf("  parallel speedup: skipped (%s)   trace-cache "
+                    "speedup (vs cold, same jobs): %.2fx\n",
+                    jobs <= 1 ? "jobs=1" : "single hardware thread",
                     cache_speedup);
     } else {
         std::printf("  parallel speedup: %.2fx   trace-cache speedup "

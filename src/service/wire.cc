@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstring>
 #include <sstream>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include "sim/report.hh"
@@ -28,19 +29,25 @@ constexpr std::uint32_t kBatchMarker = 0x42415431;  // "BAT1"
 constexpr std::uint32_t kCellMarker = 0x43454C31;   // "CEL1"
 constexpr std::uint32_t kResultMarker = 0x52455331; // "RES1"
 
+/** Write every byte of @p iov[0..cnt), resuming after partial
+ *  writes. Modifies @p iov. */
 bool
-writeAll(int fd, const void *data, std::size_t n)
+writeAllv(int fd, iovec *iov, int cnt)
 {
-    const auto *p = static_cast<const std::uint8_t *>(data);
-    while (n) {
-        ssize_t w = ::write(fd, p, n);
+    while (cnt) {
+        ssize_t w = ::writev(fd, iov, cnt);
         if (w < 0) {
             if (errno == EINTR)
                 continue;
             return false;
         }
-        p += w;
-        n -= static_cast<std::size_t>(w);
+        auto done = static_cast<std::size_t>(w);
+        for (; cnt && done >= iov->iov_len; ++iov, --cnt)
+            done -= iov->iov_len;
+        if (cnt) {
+            iov->iov_base = static_cast<std::uint8_t *>(iov->iov_base) + done;
+            iov->iov_len -= done;
+        }
     }
     return true;
 }
@@ -121,9 +128,11 @@ writeFrame(int fd, FrameType type, const void *data, std::size_t n)
     std::uint8_t header[5];
     std::memcpy(header, &len, 4);
     header[4] = static_cast<std::uint8_t>(type);
-    if (!writeAll(fd, header, sizeof(header)))
-        return false;
-    return n == 0 || writeAll(fd, data, n);
+    // One write per frame: a separate header write followed by the
+    // peer's read stalls a TCP peer on Nagle plus delayed ACK.
+    iovec iov[2] = {{header, sizeof(header)},
+                    {const_cast<void *>(data), n}};
+    return writeAllv(fd, iov, n ? 2 : 1);
 }
 
 bool

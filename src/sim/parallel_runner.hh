@@ -91,8 +91,20 @@ parallelFor(std::size_t n, unsigned jobs, Fn &&fn)
 
 /**
  * Run every cell of @p specs with up to @p jobs workers.
+ *
+ * Claim order differs from result order. A sibling family is the set
+ * of cells sharing one operation stream (same workload, page size and
+ * operations), so they share one TraceCache recording. Cells are
+ * claimed family-stride: round k holds the k-th cell of every family,
+ * in spec order. The first claims thus record distinct streams in
+ * parallel instead of parking siblings on one recording. This holds
+ * at every job count (jobs=1 runs the same order inline); parallelFor
+ * itself still claims in index order.
+ *
  * @param cell per-cell runner override (empty = runExperiment); must
- *        be safe to call concurrently for distinct cells
+ *        be safe to call concurrently for distinct cells. It always
+ *        receives a reference into @p specs, so `&spec - specs.data()`
+ *        is the cell's index.
  * @return results in spec order, bit-identical to running serially.
  */
 std::vector<RunResult>

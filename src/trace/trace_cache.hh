@@ -11,6 +11,9 @@
  * through the batched fast path. First-wins memoization is
  * thread-safe under the parallel_runner pool: losers of the insert
  * race block on a shared_future until the winner's recording lands.
+ * That blocking is the exception: runExperiments claims cells
+ * family-stride (one cell per stream per round), so a stream's later
+ * cells are usually claimed after its recording has finished.
  */
 
 #ifndef AGILEPAGING_TRACE_TRACE_CACHE_HH

@@ -161,6 +161,35 @@ TEST(ServiceWire, FrameJsonEnvelopes)
     EXPECT_EQ(err.find('\n'), std::string::npos);
 }
 
+TEST(ServiceWire, FramesRoundTripOverPipe)
+{
+    // A payload several times the pipe buffer, so the writer blocks
+    // mid-frame while the reader drains it, then an empty frame.
+    std::vector<std::uint8_t> big(1u << 20);
+    for (std::size_t i = 0; i < big.size(); ++i)
+        big[i] = static_cast<std::uint8_t>(i * 131 + 7);
+    int fds[2];
+    ASSERT_EQ(::pipe(fds), 0);
+    bool wrote_big = false, wrote_empty = false;
+    std::thread writer([&] {
+        wrote_big = writeFrame(fds[1], FrameType::CellResult, big);
+        wrote_empty = writeFrame(fds[1], FrameType::Shutdown, nullptr, 0);
+        ::close(fds[1]);
+    });
+    Frame f;
+    EXPECT_EQ(readFrame(fds[0], f), ReadStatus::Ok);
+    EXPECT_EQ(f.type, FrameType::CellResult);
+    EXPECT_EQ(f.payload, big);
+    EXPECT_EQ(readFrame(fds[0], f), ReadStatus::Ok);
+    EXPECT_EQ(f.type, FrameType::Shutdown);
+    EXPECT_TRUE(f.payload.empty());
+    EXPECT_EQ(readFrame(fds[0], f), ReadStatus::Eof);
+    writer.join();
+    ::close(fds[0]);
+    EXPECT_TRUE(wrote_big);
+    EXPECT_TRUE(wrote_empty);
+}
+
 TEST(ServiceRouter, AffinityPlacement)
 {
     CellRouter router(4);
