@@ -57,7 +57,6 @@ struct BenchOptions
     bool traceCache = true;
     bool snapshotCache = true;
     bool batchedWalks = true;
-    bool simdFilter = true;
     unsigned vcpus = 1;
     TlbCoherence tlbCoherence = TlbCoherence::Software;
     std::string snapshotDir;
@@ -79,8 +78,7 @@ struct BenchOptions
                " [--page-size 4K|2M] [--vcpus N]"
                " [--tlb-coherence sw|hw] [--no-trace-cache]"
                " [--no-snapshot-cache] [--no-batched-walks]"
-               " [--no-simd-filter] [--snapshot-dir DIR]"
-               " [--snapshot-pool-mb N]";
+               " [--snapshot-dir DIR] [--snapshot-pool-mb N]";
     }
 
     /**
@@ -151,8 +149,6 @@ struct BenchOptions
             snapshotCache = false;
         } else if (!std::strcmp(arg, "--no-batched-walks")) {
             batchedWalks = false;
-        } else if (!std::strcmp(arg, "--no-simd-filter")) {
-            simdFilter = false;
         } else if (!std::strcmp(arg, "--snapshot-dir")) {
             snapshotDir = value("--snapshot-dir");
         } else if (!std::strcmp(arg, "--snapshot-pool-mb")) {

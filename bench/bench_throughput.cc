@@ -134,7 +134,6 @@ main(int argc, char **argv)
     }
     unsigned jobs = ap::effectiveJobs(opt.jobs);
     ap::setBatchedWalksDefault(opt.batchedWalks);
-    ap::setSimdFilterDefault(opt.simdFilter);
     // At jobs=1, or on a single-hardware-thread host, the "parallel"
     // pass still runs (it is the cold baseline for the cache/engine
     // ratios) but its scaling number is meaningless — mark it skipped
@@ -322,29 +321,23 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(opt.snapshotPoolMb),
                 static_cast<unsigned long long>(pool_creates),
                 static_cast<unsigned long long>(pool_reuses));
-    // Density of the vectorized filter over the timed cached-fork
-    // pass: how much of the stream the block sweeps saw, how much
-    // they retired without touching the TLB arrays, and how much the
-    // run-level fast path never even swept.
+    // Density of the L0 filter over the timed cached-fork pass: how
+    // much of the stream the block sweeps saw, and how much they
+    // retired without touching the TLB arrays.
     const double lane_hit_density =
         filter_stats.lanesScanned
             ? double(filter_stats.lanesFiltered) /
                   double(filter_stats.lanesScanned)
             : 0.0;
     std::printf("  filter: %llu blocks, %llu lanes (%.1f%% filtered), "
-                "%llu bulk retires, %llu run fast-paths "
-                "(%llu lanes)\n",
+                "%llu bulk retires\n",
                 static_cast<unsigned long long>(
                     filter_stats.blocksScanned),
                 static_cast<unsigned long long>(
                     filter_stats.lanesScanned),
                 100.0 * lane_hit_density,
                 static_cast<unsigned long long>(
-                    filter_stats.bulkRetires),
-                static_cast<unsigned long long>(
-                    filter_stats.runFastpaths),
-                static_cast<unsigned long long>(
-                    filter_stats.runFastpathLanes));
+                    filter_stats.bulkRetires));
     std::printf("  results bit-identical: %s\n",
                 identical ? "yes" : "NO (BUG)");
 
@@ -401,8 +394,6 @@ main(int argc, char **argv)
          << "    \"fork_path_delta\": " << pool_speedup << "\n"
          << "  },\n"
          << "  \"filter\": {\n"
-         << "    \"simd\": " << (opt.simdFilter ? "true" : "false")
-         << ",\n"
          << "    \"blocks_scanned\": " << filter_stats.blocksScanned
          << ",\n"
          << "    \"lanes_scanned\": " << filter_stats.lanesScanned
@@ -411,11 +402,7 @@ main(int argc, char **argv)
          << ",\n"
          << "    \"hit_mask_density\": " << lane_hit_density << ",\n"
          << "    \"bulk_retires\": " << filter_stats.bulkRetires
-         << ",\n"
-         << "    \"run_fastpaths\": " << filter_stats.runFastpaths
-         << ",\n"
-         << "    \"run_fastpath_lanes\": "
-         << filter_stats.runFastpathLanes << "\n"
+         << "\n"
          << "  },\n"
          << "  \"engine_speedup_vs_cold\": " << engine_speedup << ",\n"
          << "  \"speedup\": " << parallel_speedup << ",\n"

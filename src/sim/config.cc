@@ -14,7 +14,6 @@ namespace ap
 namespace
 {
 bool g_batched_walks_default = true;
-bool g_simd_filter_default = true;
 
 std::string
 lower(std::string s)
@@ -35,18 +34,6 @@ bool
 batchedWalksDefault()
 {
     return g_batched_walks_default;
-}
-
-void
-setSimdFilterDefault(bool on)
-{
-    g_simd_filter_default = on;
-}
-
-bool
-simdFilterDefault()
-{
-    return g_simd_filter_default;
 }
 
 bool
@@ -160,8 +147,6 @@ SimConfig::applyOption(const std::string &option)
         return as_bool(verifyTranslations);
     if (key == "batched_walks")
         return as_bool(batchedWalks);
-    if (key == "simd_filter")
-        return as_bool(simdFilter);
     if (key == "arena_slab_pages") {
         std::uint64_t n;
         if (!as_u64(n) || n == 0)

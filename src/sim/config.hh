@@ -123,12 +123,6 @@ struct SimConfig
      *  ("--no-batched-walks" in the drivers turns this off). Stats are
      *  exact either way. */
     bool batchedWalks = true;
-    /** Batched-replay runs scan each access run in 64-lane blocks,
-     *  computing the last-translation-filter hit mask branch-free and
-     *  retiring whole hit blocks with one bulk stat add
-     *  ("--no-simd-filter" / "simd_filter=0" falls back to the scalar
-     *  per-access chain). Stats are bit-identical either way. */
-    bool simdFilter = true;
     /** Pages per slab of the page-table-page arena (sizing knob). */
     std::uint64_t arenaSlabPages = 256;
 
@@ -157,15 +151,6 @@ struct SimConfig
  */
 void setBatchedWalksDefault(bool on);
 bool batchedWalksDefault();
-
-/**
- * Process-wide default for SimConfig::simdFilter, consulted by the
- * matrix drivers' configFor() path so "--no-simd-filter" reaches every
- * cell they build. Host-side engine toggle only — simulated results
- * are identical either way.
- */
-void setSimdFilterDefault(bool on);
-bool simdFilterDefault();
 
 /** Parse a mode name ("native", "nested", "shadow", "agile", "shsp",
  *  "range"). Accepts every name virtModeName() emits. */

@@ -56,7 +56,6 @@ configFor(VirtMode mode, PageSize page_size, const WorkloadParams &params,
     cfg.pageSize = page_size;
     cfg.guestOs.pageSize = page_size;
     cfg.batchedWalks = batchedWalksDefault();
-    cfg.simdFilter = simdFilterDefault();
 
     // Size memory: guest data space at 2x the footprint (churn slack),
     // host memory at 3x plus table overhead.

@@ -11,10 +11,6 @@
 #include <atomic>
 #include <limits>
 
-#if defined(__AVX2__)
-#include <immintrin.h>
-#endif
-
 #include "base/bitfield.hh"
 #include "base/debug.hh"
 #include "base/logging.hh"
@@ -56,54 +52,15 @@ trailingOnes(std::uint64_t x)
                : std::size_t(__builtin_ctzll(~x));
 }
 
-/** Set bits in [pos, pos+n) of a packed bitmap. */
-inline std::uint64_t
-popcountRange(const std::uint64_t *bits, std::size_t pos, std::size_t n)
-{
-    std::uint64_t c = 0;
-    while (n) {
-        const std::size_t take =
-            std::min<std::size_t>(64 - (pos & 63), n);
-        const std::uint64_t w =
-            (bits[pos >> 6] >> (pos & 63)) & lowMask(take);
-        c += std::uint64_t(__builtin_popcountll(w));
-        pos += take;
-        n -= take;
-    }
-    return c;
-}
-
 /**
  * Bit j set iff ((vas[j] ^ va0) & mask) == 0: the same-page sweep of
- * the last-translation filter over one block of SoA lanes. The scalar
- * form is branch-free and auto-vectorizes (independent lanes, no
- * loads besides the VA stream); full 64-lane blocks take the explicit
- * AVX2 sweep when the build enables it (-mavx2 / -march=native).
+ * the last-translation filter over a window of SoA lanes. Branch-free
+ * (independent lanes, no loads besides the VA stream), so the compiler
+ * is free to vectorize it.
  */
 inline std::uint64_t
 samePageMask(const Addr *vas, std::size_t n, Addr va0, Addr mask)
 {
-#if defined(__AVX2__)
-    if (n == 64) {
-        const __m256i vbase =
-            _mm256_set1_epi64x(static_cast<long long>(va0));
-        const __m256i vmask =
-            _mm256_set1_epi64x(static_cast<long long>(mask));
-        const __m256i zero = _mm256_setzero_si256();
-        std::uint64_t m = 0;
-        for (unsigned j = 0; j < 64; j += 4) {
-            __m256i v = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i *>(vas + j));
-            __m256i d =
-                _mm256_and_si256(_mm256_xor_si256(v, vbase), vmask);
-            __m256i eq = _mm256_cmpeq_epi64(d, zero);
-            m |= std::uint64_t(static_cast<unsigned>(
-                     _mm256_movemask_pd(_mm256_castsi256_pd(eq))))
-                 << j;
-        }
-        return m;
-    }
-#endif
     std::uint64_t m = 0;
     for (std::size_t j = 0; j < n; ++j)
         m |= std::uint64_t(((vas[j] ^ va0) & mask) == 0) << j;
@@ -116,8 +73,6 @@ std::atomic<std::uint64_t> g_blocks_scanned{0};
 std::atomic<std::uint64_t> g_lanes_scanned{0};
 std::atomic<std::uint64_t> g_lanes_filtered{0};
 std::atomic<std::uint64_t> g_bulk_retires{0};
-std::atomic<std::uint64_t> g_run_fastpaths{0};
-std::atomic<std::uint64_t> g_run_fastpath_lanes{0};
 
 } // namespace
 
@@ -129,9 +84,6 @@ Machine::batchFilterStats()
     s.lanesScanned = g_lanes_scanned.load(std::memory_order_relaxed);
     s.lanesFiltered = g_lanes_filtered.load(std::memory_order_relaxed);
     s.bulkRetires = g_bulk_retires.load(std::memory_order_relaxed);
-    s.runFastpaths = g_run_fastpaths.load(std::memory_order_relaxed);
-    s.runFastpathLanes =
-        g_run_fastpath_lanes.load(std::memory_order_relaxed);
     return s;
 }
 
@@ -142,8 +94,6 @@ Machine::resetBatchFilterStats()
     g_lanes_scanned.store(0, std::memory_order_relaxed);
     g_lanes_filtered.store(0, std::memory_order_relaxed);
     g_bulk_retires.store(0, std::memory_order_relaxed);
-    g_run_fastpaths.store(0, std::memory_order_relaxed);
-    g_run_fastpath_lanes.store(0, std::memory_order_relaxed);
 }
 
 Machine::Machine(const SimConfig &cfg)
@@ -493,24 +443,10 @@ Machine::doAccess(Addr va, bool write, bool instr)
 void
 Machine::accessSlow(Addr va, bool write, bool instr)
 {
-    accessSlowImpl<false>(va, write, instr);
-}
-
-template <bool Deferred>
-void
-Machine::accessSlowImpl(Addr va, bool write, bool instr)
-{
     ProcId pid = current_;
 
     for (int attempt = 0; attempt < 8; ++attempt) {
-        // While the vectorized batch pipeline drains a range, probe
-        // stat charges accumulate in its RefillPending and land in
-        // bulk at block boundaries; probe order and LRU movement are
-        // identical either way.
-        TlbProbeResult hit =
-            Deferred
-                ? atlb_->probeDeferred(va, pid, instr, *refill_pending_)
-                : atlb_->probe(va, pid, instr);
+        TlbProbeResult hit = atlb_->probe(va, pid, instr);
         if (hit.level != TlbHitLevel::Miss) {
             if (hit.level == TlbHitLevel::L2) {
                 // L2 TLB hit latency is identical in every mode and so
@@ -578,17 +514,8 @@ Machine::runAccessBatch(const Addr *vas, const std::uint64_t *write_bits,
                         const std::uint64_t *instr_bits,
                         std::size_t begin, std::size_t count)
 {
-    runAccessBatch(vas, write_bits, instr_bits, begin, count, nullptr);
-}
-
-void
-Machine::runAccessBatch(const Addr *vas, const std::uint64_t *write_bits,
-                        const std::uint64_t *instr_bits,
-                        std::size_t begin, std::size_t count,
-                        const AccessRunHint *hint)
-{
     if (extra_vcpus_.empty()) {
-        runBatchRange(vas, write_bits, instr_bits, begin, count, hint);
+        runBatchRange(vas, write_bits, instr_bits, begin, count);
         return;
     }
     // Multi-vCPU: replay the deterministic round-robin schedule at
@@ -609,7 +536,7 @@ Machine::runAccessBatch(const Addr *vas, const std::uint64_t *write_bits,
         }
         const std::size_t m =
             std::min<std::size_t>(end - i, vcpu_quantum_left_);
-        runBatchRange(vas, write_bits, instr_bits, i, m, hint);
+        runBatchRange(vas, write_bits, instr_bits, i, m);
         vcpu_quantum_left_ -= m;
         i += m;
     }
@@ -633,122 +560,23 @@ Machine::intervalRoom(Cycles op_cycles) const
 void
 Machine::runBatchRange(const Addr *vas, const std::uint64_t *write_bits,
                        const std::uint64_t *instr_bits,
-                       std::size_t begin, std::size_t count,
-                       const AccessRunHint *hint)
+                       std::size_t begin, std::size_t count)
 {
     if (count == 0)
         return;
     // Verification re-checks every access against the functional
     // mappings; the filter would skip those checks, so turn it off.
     const bool filter_ok = !cfg_.verifyTranslations;
-    const bool vectored = filter_ok && cfg_.simdFilter;
-
-    // Run-level constant-translation fast path: the trace compiler
-    // proved each stream of the whole run stays inside one page-sized
-    // VA window. If the active L0 slot of every stream the run uses
-    // covers its window, no write can land on a clean or read-only
-    // translation, and no policy interval fires inside the run, then
-    // every access is a filtered L1 hit and the run retires in O(1)
-    // plus one bitmap popcount: one bulk instruction charge, one bulk
-    // stat add per stream. The hint describes the *whole* run, which
-    // is conservative for the sub-ranges the multi-vCPU loop feeds
-    // through here; only the instr/data split is recounted exactly.
-    if (vectored && hint && intervalRoom(cfg_.cyclesPerOp) >= count) {
-        const std::uint64_t gen0 = atlb_->flushGeneration(current_);
-        const LastXlat &d = al0_[0];
-        const LastXlat &f = al0_[1];
-        const bool d_ok =
-            !hint->anyData ||
-            (d.mask != 0 && d.asid == current_ && d.gen == gen0 &&
-             ((hint->dataBase ^ d.va) & d.mask) == 0 &&
-             (hint->dataDiffOr & d.mask) == 0 &&
-             (!hint->anyWrite || (d.writable && d.dirty)));
-        const bool i_ok =
-            !hint->anyInstr ||
-            (f.mask != 0 && f.asid == current_ && f.gen == gen0 &&
-             ((hint->instrBase ^ f.va) & f.mask) == 0 &&
-             (hint->instrDiffOr & f.mask) == 0);
-        if (d_ok && i_ok) {
-            const std::uint64_t n_i =
-                hint->anyInstr ? popcountRange(instr_bits, begin, count)
-                               : 0;
-            const std::uint64_t n_d = count - n_i;
-            instructions_ +=
-                std::uint64_t(count) * cfg_.cyclesPerOp;
-            if (n_d)
-                atlb_->countFilteredL1Hit(d.size, false, n_d);
-            if (n_i)
-                atlb_->countFilteredL1Hit(f.size, true, n_i);
-            // Zero misses here: the density gate below would disarm.
-            prime_next_ = false;
-            g_run_fastpaths.fetch_add(1, std::memory_order_relaxed);
-            g_run_fastpath_lanes.fetch_add(count,
-                                           std::memory_order_relaxed);
-            return;
-        }
-    }
 
     const std::uint64_t misses_before = tlb_misses_;
     if (cfg_.batchedWalks && prime_next_ && count >= 64)
         primeBatch(vas, begin, count);
 
-    if (vectored)
-        runBatchVector(vas, write_bits, instr_bits, begin, count);
-    else
-        runBatchScalar(vas, write_bits, instr_bits, begin, count,
-                       filter_ok);
-
-    // Re-arm priming only at walk densities where the sorted pre-touch
-    // pays for the sort (roughly one miss per 16 accesses — cold or
-    // TLB-thrashing phases); a warm TLB keeps it off.
-    prime_next_ = (tlb_misses_ - misses_before) * 16 >= count;
-}
-
-void
-Machine::runBatchScalar(const Addr *vas, const std::uint64_t *write_bits,
-                        const std::uint64_t *instr_bits,
-                        std::size_t begin, std::size_t count,
-                        bool filter_ok)
-{
     const Cycles op_cycles = cfg_.cyclesPerOp;
     // The flush generation only moves inside maybeInterval() or
     // accessSlow(), so cache it in a register and re-load after
-    // either call instead of chasing the pointer every iteration.
+    // either call instead of chasing the pointer every lane.
     std::uint64_t gen = atlb_->flushGeneration(current_);
-    for (std::size_t i = begin; i < begin + count; ++i) {
-        const Addr va = vas[i];
-        const bool write = (write_bits[i >> 6] >> (i & 63)) & 1;
-        const bool instr = (instr_bits[i >> 6] >> (i & 63)) & 1;
-        instructions_ += op_cycles;
-        if (instructions_ >= next_interval_) {
-            maybeInterval();
-            gen = atlb_->flushGeneration(current_);
-        }
-        const LastXlat &l0 = al0_[instr];
-        if (filter_ok && l0.mask != 0 &&
-            ((va ^ l0.va) & l0.mask) == 0 && l0.asid == current_ &&
-            l0.gen == gen &&
-            (!write || (l0.writable && l0.dirty))) {
-            // Same page, same stream, nothing flushed since: the probe
-            // would hit the same (still-MRU) L1 entry and take the same
-            // early-outs. Account it without re-touching the arrays.
-            atlb_->countFilteredL1Hit(l0.size, instr);
-            continue;
-        }
-        accessSlow(va, write, instr);
-        gen = atlb_->flushGeneration(current_);
-    }
-}
-
-void
-Machine::runBatchVector(const Addr *vas, const std::uint64_t *write_bits,
-                        const std::uint64_t *instr_bits,
-                        std::size_t begin, std::size_t count)
-{
-    const Cycles op_cycles = cfg_.cyclesPerOp;
-    std::uint64_t gen = atlb_->flushGeneration(current_);
-    TlbHierarchy::RefillPending pending;
-    refill_pending_ = &pending;
 
     std::uint64_t blocks = 0, lanes = 0, filtered = 0, retires = 0;
 
@@ -766,13 +594,15 @@ Machine::runBatchVector(const Addr *vas, const std::uint64_t *write_bits,
             const Addr va = vas[i + j];
             const bool write = (w_w >> j) & 1;
             const bool instr = (w_i >> j) & 1;
-            // Probe lane j with the scalar predicate first; sweep only
-            // when it hits. Misses therefore cost exactly the scalar
-            // chain, and each sweep amortizes over a whole hit-run
-            // instead of repeating after every miss.
+            // Same page, same stream, nothing flushed since: the probe
+            // would hit the same (still-MRU) L1 entry and take the same
+            // early-outs, so the lane can be accounted without
+            // re-touching the arrays. Probe lane j with this predicate
+            // first and sweep only when it holds: misses cost one
+            // predicate, and each sweep amortizes over a whole hit-run.
             const LastXlat &p = al0_[instr];
             const bool pred =
-                p.mask != 0 && ((va ^ p.va) & p.mask) == 0 &&
+                filter_ok && p.mask != 0 && ((va ^ p.va) & p.mask) == 0 &&
                 p.asid == current_ && p.gen == gen &&
                 (!write || (p.writable && p.dirty));
             if (pred && instructions_ + op_cycles < next_interval_) {
@@ -818,7 +648,7 @@ Machine::runBatchVector(const Addr *vas, const std::uint64_t *write_bits,
                             ((va_t ^ l0t.va) & l0t.mask) == 0 &&
                             l0t.asid == current_ && l0t.gen == gen &&
                             (!wr_t || (l0t.writable && l0t.dirty)),
-                        "vectorized filter claimed a lane the scalar "
+                        "same-page sweep claimed a lane the per-lane "
                         "filter rejects");
                 }
 #endif
@@ -836,19 +666,15 @@ Machine::runBatchVector(const Addr *vas, const std::uint64_t *write_bits,
                 j += k;
                 continue;
             }
-            // Scalar lane: the filter rejected it, or the policy
-            // interval fires on this access. One iteration of the
-            // scalar chain, bit for bit — except that a lane which
-            // failed the predicate needs no post-interval recheck:
-            // the interval can only advance the flush generation, and
-            // the filter compares the slot's generation for equality,
-            // so a rejected lane can never newly pass.
+            // Single lane: the filter rejected it, or the policy
+            // interval fires on this access. Exactly doAccess's charge
+            // and tick — except that a lane which failed the predicate
+            // needs no post-interval recheck: the interval can only
+            // advance the flush generation, and the filter compares
+            // the slot's generation for equality, so a rejected lane
+            // can never newly pass.
             instructions_ += op_cycles;
             if (instructions_ >= next_interval_) {
-                // The interval tick can read stats and flush TLBs
-                // (mode switches), so land the deferred probe charges
-                // first, then revalidate the generation.
-                atlb_->applyRefillPending(pending);
                 maybeInterval();
                 gen = atlb_->flushGeneration(current_);
                 // Only a predicate-passing lane deflected here by
@@ -862,20 +688,22 @@ Machine::runBatchVector(const Addr *vas, const std::uint64_t *write_bits,
                     continue;
                 }
             }
-            accessSlowImpl<true>(va, write, instr);
+            accessSlow(va, write, instr);
             gen = atlb_->flushGeneration(current_);
             ++j;
         }
         i += bn;
     }
 
-    atlb_->applyRefillPending(pending);
-    refill_pending_ = nullptr;
-
     g_blocks_scanned.fetch_add(blocks, std::memory_order_relaxed);
     g_lanes_scanned.fetch_add(lanes, std::memory_order_relaxed);
     g_lanes_filtered.fetch_add(filtered, std::memory_order_relaxed);
     g_bulk_retires.fetch_add(retires, std::memory_order_relaxed);
+
+    // Re-arm priming only at walk densities where the sorted pre-touch
+    // pays for the sort (roughly one miss per 16 accesses — cold or
+    // TLB-thrashing phases); a warm TLB keeps it off.
+    prime_next_ = (tlb_misses_ - misses_before) * 16 >= count;
 }
 
 void

@@ -17,7 +17,6 @@
 #include "base/rng.hh"
 #include "base/serialize.hh"
 #include "base/stats.hh"
-#include "sim/access_hint.hh"
 #include "core/agile_policy.hh"
 #include "core/backend_registry.hh"
 #include "guestos/guest_os.hh"
@@ -186,24 +185,13 @@ class Machine : public stats::StatGroup, public WorkloadHost
                         std::size_t begin, std::size_t count);
 
     /**
-     * runAccessBatch with an optional per-run hint (what the trace
-     * compiler proved about the whole run; conservative for any
-     * sub-range). Enables the run-level constant-translation fast
-     * path. @p hint may be nullptr.
-     */
-    void runAccessBatch(const Addr *vas, const std::uint64_t *write_bits,
-                        const std::uint64_t *instr_bits,
-                        std::size_t begin, std::size_t count,
-                        const AccessRunHint *hint);
-
-    /**
-     * Process-wide telemetry of the vectorized batch pipeline
+     * Process-wide telemetry of the batch replay loop
      * (accumulated across every Machine and thread since the last
      * reset; purely observational — no simulated state involved).
      */
     struct BatchFilterStats
     {
-        /** 64-lane blocks swept by the vectorized filter. */
+        /** 64-lane blocks swept by the batch loop. */
         std::uint64_t blocksScanned = 0;
         /** Accesses entering the block sweep. */
         std::uint64_t lanesScanned = 0;
@@ -211,10 +199,9 @@ class Machine : public stats::StatGroup, public WorkloadHost
         std::uint64_t lanesFiltered = 0;
         /** Bulk countFilteredL1Hit(n) retires issued. */
         std::uint64_t bulkRetires = 0;
-        /** Whole runs retired by the O(1) constant-translation path. */
+        /** Always 0: no path retires a whole run at once. Kept only
+         *  because perfbench/apbench.cc still reports it. */
         std::uint64_t runFastpaths = 0;
-        /** Accesses those whole-run retires covered. */
-        std::uint64_t runFastpathLanes = 0;
     };
 
     /** Snapshot / reset the process-wide batch-filter telemetry. */
@@ -312,16 +299,6 @@ class Machine : public stats::StatGroup, public WorkloadHost
      */
     void accessSlow(Addr va, bool write, bool instr);
 
-    /**
-     * accessSlow's body, with the probe-accounting choice resolved at
-     * compile time so neither instantiation carries the other's code:
-     * Deferred probes charge their stats into *refill_pending_
-     * (runBatchVector's batch; must be non-null), non-deferred probes
-     * charge the counters directly.
-     */
-    template <bool Deferred>
-    void accessSlowImpl(Addr va, bool write, bool instr);
-
     /** Resolve a write hitting a non-writable translation. */
     void resolveProtection(ProcId pid, Addr va);
 
@@ -345,27 +322,13 @@ class Machine : public stats::StatGroup, public WorkloadHost
 
     /**
      * Drain one access range on the active vCPU's stack (no rotation
-     * inside): run-level fast path, then the vectorized 64-lane block
-     * sweep (cfg_.simdFilter) or the scalar per-access chain.
+     * inside) in 64-lane blocks: lanes the last-translation filter
+     * proves are same-page L1 hits retire in bulk runs, every other
+     * lane takes accessSlow().
      */
     void runBatchRange(const Addr *vas, const std::uint64_t *write_bits,
                        const std::uint64_t *instr_bits,
-                       std::size_t begin, std::size_t count,
-                       const AccessRunHint *hint);
-
-    /** The pre-vectorization scalar loop (also the verify-mode and
-     *  "simd_filter=0" fallback). */
-    void runBatchScalar(const Addr *vas,
-                        const std::uint64_t *write_bits,
-                        const std::uint64_t *instr_bits,
-                        std::size_t begin, std::size_t count,
-                        bool filter_ok);
-
-    /** The 64-lane block pipeline (filter usable, simdFilter on). */
-    void runBatchVector(const Addr *vas,
-                        const std::uint64_t *write_bits,
-                        const std::uint64_t *instr_bits,
-                        std::size_t begin, std::size_t count);
+                       std::size_t begin, std::size_t count);
 
     /** Accesses that can retire before the next policy interval
      *  fires (the per-access trigger is charge-then-compare). */
@@ -488,17 +451,6 @@ class Machine : public stats::StatGroup, public WorkloadHost
     /** Miss-density gate: prime the next batch only when the previous
      *  one actually walked (a warm forked TLB skips priming). */
     bool prime_next_ = true;
-
-    /**
-     * Non-null only while the vectorized batch pipeline is draining a
-     * range: accessSlow's TLB probes then accumulate their stat
-     * charges here (TlbHierarchy::probeDeferred) instead of bumping
-     * the counters per probe; runBatchVector flushes the batch at
-     * block boundaries, before every policy interval, and on exit.
-     * Always targets the active vCPU's hierarchy (a range never spans
-     * a rotation). Never serialized — empty outside a batch.
-     */
-    TlbHierarchy::RefillPending *refill_pending_ = nullptr;
 
     Tick next_interval_ = 0;
     // Interval deltas for policy/SHSP decisions.

@@ -17,10 +17,6 @@
 namespace ap
 {
 
-namespace
-{
-
-/** Test-sized machine config shared by the three lock-step modes. */
 SimConfig
 oracleConfig(VirtMode mode, const OracleOptions &opts)
 {
@@ -46,6 +42,9 @@ oracleConfig(VirtMode mode, const OracleOptions &opts)
     cfg.tlbCoherence = opts.tlbCoherence;
     return cfg;
 }
+
+namespace
+{
 
 /**
  * Corrupt one clean, shadowed leaf PTE in @p m (pfn off by one) — the

@@ -78,6 +78,14 @@ struct OracleReport
 };
 
 /**
+ * The test-sized machine config every oracle replay uses for @p mode:
+ * pools sized for 2 MB COW breaks, a short policy interval, built-in
+ * verification off (the oracle is the checker), and the vCPU count
+ * and coherence model from @p opts.
+ */
+SimConfig oracleConfig(VirtMode mode, const OracleOptions &opts);
+
+/**
  * Generate a deterministic randomized trace: mmap/munmap churn,
  * reads/writes/fetches over live regions, forks, yields, page sharing
  * — every event kind the WorkloadHost interface offers (reclaim only

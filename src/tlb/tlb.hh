@@ -75,18 +75,6 @@ class Tlb : public stats::StatGroup
         return nullptr;
     }
 
-    /**
-     * find() with the hit/miss stat charge deferred to the caller
-     * (TlbHierarchy's batched probe path accumulates the charges in a
-     * RefillPending and flushes them in bulk at block boundaries).
-     * LRU state still updates exactly as find() would.
-     */
-    const TlbEntry *
-    findQuiet(Addr va, ProcId asid)
-    {
-        return cache_.lookup(key(va, asid));
-    }
-
     /** Probe without updating LRU or stats. */
     bool contains(Addr va, ProcId asid) const;
 
@@ -96,14 +84,6 @@ class Tlb : public stats::StatGroup
     {
         if (cache_.insert(key(va, asid), entry))
             ++evictions;
-    }
-
-    /** insert() with the eviction stat charge deferred to the caller.
-     *  @return true if a live entry was evicted. */
-    bool
-    insertQuiet(Addr va, ProcId asid, const TlbEntry &entry)
-    {
-        return cache_.insert(key(va, asid), entry);
     }
 
     /** Invalidate one page's translation. */

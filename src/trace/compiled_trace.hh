@@ -22,7 +22,6 @@
 #include <string>
 #include <vector>
 
-#include "sim/access_hint.hh"
 #include "trace/trace.hh"
 
 namespace ap
@@ -90,19 +89,7 @@ struct CompiledTrace
     std::vector<CompiledOp> ops;
     /** Non-access events, indexed by CompiledOp::n. */
     std::vector<TraceEvent> ctrl;
-
-    /**
-     * Per-op run hints (what one pass over each run proved), parallel
-     * to @ref ops; control ops get default-constructed entries. Not
-     * part of the on-disk format — finalizeRunHints() recomputes them
-     * after compileTrace() and after every file read, so hints never
-     * affect format compatibility or trace digests.
-     */
-    std::vector<AccessRunHint> runHints;
 };
-
-/** (Re)build CompiledTrace::runHints from the access arrays. */
-void finalizeRunHints(CompiledTrace &trace);
 
 /** Compile an event-list trace into the RLE/SoA form. */
 CompiledTrace compileTrace(const Trace &trace);

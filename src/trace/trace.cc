@@ -135,8 +135,9 @@ readTrace(std::istream &is, Trace &out)
         !get(is, count)) {
         return false;
     }
+    // No reserve(count): the count is untrusted, so the vector grows
+    // only as events actually arrive and a lying count fails at EOF.
     out.events.clear();
-    out.events.reserve(count);
     for (std::uint64_t i = 0; i < count; ++i) {
         TraceEvent e;
         std::uint8_t kind = 0, flags = 0;

@@ -331,8 +331,9 @@ readWalkTrace(std::istream &is, std::vector<WalkTraceRecord> &records,
         !getU64(is, dropped)) {
         return false;
     }
+    // No reserve(count): the count is untrusted, so a lying count
+    // fails at EOF instead of allocating.
     records.clear();
-    records.reserve(count);
     for (std::uint64_t i = 0; i < count; ++i) {
         WalkTraceRecord r;
         if (!getRecord(is, r))

@@ -1,13 +1,11 @@
 /**
  * @file
- * Vectorized batch-replay tests: the SIMD L0-filter sweep, the
- * deferred refill accounting behind it, and the run-level fast path
- * must be invisible in the results. Covers simd-vs-scalar bit
- * identity for every Table V workload across page sizes and modes
- * (range included), batched-vs-per-event equivalence with multiple
+ * Batch-replay loop tests: the 64-lane block loop and its bulk
+ * retire of same-page L0-filter hits must be invisible in the
+ * results. Covers batched-vs-per-event equivalence with multiple
  * vCPUs (where batches are split at quantum boundaries), and a
- * synthetic single-page trace that provably takes the run-level
- * constant-translation fast path.
+ * synthetic single-page trace whose hot run retires entirely through
+ * the bulk path.
  */
 
 #include <gtest/gtest.h>
@@ -22,32 +20,12 @@
 #include "trace/trace.hh"
 #include "trace/trace_cache.hh"
 #include "workloads/workload.hh"
+#include "result_eq.hh"
 
 namespace
 {
 
 using namespace ap;
-
-void
-expectSameResult(const RunResult &a, const RunResult &b)
-{
-    EXPECT_EQ(a.workload, b.workload);
-    EXPECT_EQ(a.mode, b.mode);
-    EXPECT_EQ(a.pageSize, b.pageSize);
-    EXPECT_EQ(a.instructions, b.instructions);
-    EXPECT_EQ(a.idealCycles, b.idealCycles);
-    EXPECT_EQ(a.walkCycles, b.walkCycles);
-    EXPECT_EQ(a.trapCycles, b.trapCycles);
-    EXPECT_EQ(a.tlbMisses, b.tlbMisses);
-    EXPECT_EQ(a.walks, b.walks);
-    EXPECT_EQ(a.traps, b.traps);
-    EXPECT_EQ(a.guestPageFaults, b.guestPageFaults);
-    EXPECT_DOUBLE_EQ(a.avgWalkRefs, b.avgWalkRefs);
-    for (int c = 0; c < 6; ++c)
-        EXPECT_DOUBLE_EQ(a.coverage[c], b.coverage[c]);
-    for (std::size_t k = 0; k < kNumTrapKinds; ++k)
-        EXPECT_EQ(a.trapByKind[k], b.trapByKind[k]);
-}
 
 WorkloadParams
 smallParams()
@@ -58,46 +36,6 @@ smallParams()
     p.seed = 11;
     return p;
 }
-
-/**
- * The vectorized filter contract, per workload: for each page size
- * and mode, a batched replay with the SIMD filter enabled produces
- * the identical RunResult to a batched replay with it disabled (the
- * preserved scalar loop). The first cell per cache records per-event,
- * so the chain also pins both replay flavors to the fresh run.
- */
-class SimdFilterEquivalence : public ::testing::TestWithParam<std::string>
-{
-};
-
-TEST_P(SimdFilterEquivalence, SimdReplayMatchesScalarReplay)
-{
-    const std::string wl = GetParam();
-    const WorkloadParams params = smallParams();
-    for (PageSize ps : {PageSize::Size4K, PageSize::Size2M}) {
-        TraceCache cache;
-        for (VirtMode mode : {VirtMode::Nested, VirtMode::Shadow,
-                              VirtMode::Agile, VirtMode::Range}) {
-            SCOPED_TRACE(wl + " " +
-                         (ps == PageSize::Size4K ? "4K" : "2M") +
-                         " mode " + std::to_string(int(mode)));
-            SimConfig simd_cfg = configFor(mode, ps, params);
-            simd_cfg.simdFilter = true;
-            SimConfig scalar_cfg = simd_cfg;
-            scalar_cfg.simdFilter = false;
-
-            RunResult simd =
-                runCellCached(cache, wl, params, simd_cfg, true);
-            RunResult scalar =
-                runCellCached(cache, wl, params, scalar_cfg, true);
-            expectSameResult(simd, scalar);
-        }
-    }
-}
-
-INSTANTIATE_TEST_SUITE_P(AllWorkloads, SimdFilterEquivalence,
-                         ::testing::ValuesIn(workloadNames()),
-                         [](const auto &info) { return info.param; });
 
 /**
  * Multi-vCPU batched replay: with numVcpus > 1 the batch loop splits
@@ -182,7 +120,7 @@ singlePageTrace()
     split.kind = TraceEvent::Kind::Compute;
     split.arg = 0;
     t.events.push_back(split);
-    // Fast-path run: same two pages, read-only.
+    // Hot run: same two pages, read-only.
     for (int i = 0; i < 256; ++i) {
         pushAccess(kBase + 0x1000 + (i % 64) * 8, true);
         pushAccess(kBase + (i % 64) * 8, false);
@@ -193,19 +131,16 @@ singlePageTrace()
 } // namespace
 
 /**
- * The run-level fast path must actually fire on a run that provably
- * re-hits both per-stream L0 translations — and firing must not
- * change the results versus the per-event replay of the same trace.
+ * The bulk retire must actually cover a run that provably re-hits
+ * both per-stream L0 translations — and covering it must not change
+ * the results versus the per-event replay of the same trace.
  */
-TEST(BatchVector, RunFastPathFiresOnSinglePageRun)
+TEST(BatchVector, BulkRetireCoversSinglePageRun)
 {
     auto compiled = std::make_shared<const CompiledTrace>(
         compileTrace(singlePageTrace()));
-    ASSERT_GE(compiled->runHints.size(), 2u);
-
     SimConfig cfg =
         configFor(VirtMode::Nested, PageSize::Size4K, smallParams());
-    cfg.simdFilter = true;
 
     Machine::resetBatchFilterStats();
     RunResult batched;
@@ -215,8 +150,8 @@ TEST(BatchVector, RunFastPathFiresOnSinglePageRun)
         batched = m.run(w);
     }
     Machine::BatchFilterStats stats = Machine::batchFilterStats();
-    EXPECT_GE(stats.runFastpaths, 1u);
-    EXPECT_GE(stats.runFastpathLanes, 512u);
+    EXPECT_GE(stats.lanesFiltered, 512u);
+    EXPECT_GE(stats.bulkRetires, 1u);
 
     RunResult per_event;
     {
@@ -225,20 +160,6 @@ TEST(BatchVector, RunFastPathFiresOnSinglePageRun)
         per_event = m.run(w);
     }
     expectSameResult(batched, per_event);
-
-    // With the SIMD filter off the fast path is gated off entirely;
-    // results still match.
-    Machine::resetBatchFilterStats();
-    SimConfig scalar_cfg = cfg;
-    scalar_cfg.simdFilter = false;
-    RunResult scalar;
-    {
-        Machine m(scalar_cfg);
-        BatchReplayWorkload w(compiled, true);
-        scalar = m.run(w);
-    }
-    EXPECT_EQ(Machine::batchFilterStats().runFastpaths, 0u);
-    expectSameResult(batched, scalar);
 }
 
 } // namespace

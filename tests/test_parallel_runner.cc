@@ -21,6 +21,7 @@
 #include "sim/report.hh"
 #include "sim/snapshot.hh"
 #include "trace/trace_cache.hh"
+#include "result_eq.hh"
 
 namespace
 {
@@ -29,25 +30,6 @@ using namespace ap;
 
 /** Small operation count: enough to exercise faults and switches. */
 constexpr std::uint64_t kOps = 5'000;
-
-void
-expectSameResult(const RunResult &a, const RunResult &b)
-{
-    EXPECT_EQ(a.workload, b.workload);
-    EXPECT_EQ(a.mode, b.mode);
-    EXPECT_EQ(a.pageSize, b.pageSize);
-    EXPECT_EQ(a.instructions, b.instructions);
-    EXPECT_EQ(a.idealCycles, b.idealCycles);
-    EXPECT_EQ(a.walkCycles, b.walkCycles);
-    EXPECT_EQ(a.trapCycles, b.trapCycles);
-    EXPECT_EQ(a.tlbMisses, b.tlbMisses);
-    EXPECT_EQ(a.walks, b.walks);
-    EXPECT_EQ(a.traps, b.traps);
-    EXPECT_EQ(a.guestPageFaults, b.guestPageFaults);
-    EXPECT_DOUBLE_EQ(a.avgWalkRefs, b.avgWalkRefs);
-    for (int c = 0; c < 6; ++c)
-        EXPECT_DOUBLE_EQ(a.coverage[c], b.coverage[c]);
-}
 
 TEST(EffectiveJobs, ZeroMeansHardwareConcurrency)
 {

@@ -24,32 +24,12 @@
 #include "sim/snapshot.hh"
 #include "trace/trace_cache.hh"
 #include "workloads/workload.hh"
+#include "result_eq.hh"
 
 namespace
 {
 
 using namespace ap;
-
-void
-expectSameResult(const RunResult &a, const RunResult &b)
-{
-    EXPECT_EQ(a.workload, b.workload);
-    EXPECT_EQ(a.mode, b.mode);
-    EXPECT_EQ(a.pageSize, b.pageSize);
-    EXPECT_EQ(a.instructions, b.instructions);
-    EXPECT_EQ(a.idealCycles, b.idealCycles);
-    EXPECT_EQ(a.walkCycles, b.walkCycles);
-    EXPECT_EQ(a.trapCycles, b.trapCycles);
-    EXPECT_EQ(a.tlbMisses, b.tlbMisses);
-    EXPECT_EQ(a.walks, b.walks);
-    EXPECT_EQ(a.traps, b.traps);
-    EXPECT_EQ(a.guestPageFaults, b.guestPageFaults);
-    EXPECT_DOUBLE_EQ(a.avgWalkRefs, b.avgWalkRefs);
-    for (int c = 0; c < 6; ++c)
-        EXPECT_DOUBLE_EQ(a.coverage[c], b.coverage[c]);
-    for (std::size_t k = 0; k < kNumTrapKinds; ++k)
-        EXPECT_EQ(a.trapByKind[k], b.trapByKind[k]);
-}
 
 WorkloadParams
 smallParams()

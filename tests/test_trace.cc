@@ -9,13 +9,17 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "sim/machine.hh"
 #include "trace/compiled_trace.hh"
 #include "trace/record.hh"
 #include "trace/trace.hh"
 #include "trace/trace_stream.hh"
+#include "trace/walk_trace.hh"
 #include "workloads/workload.hh"
 
 namespace ap
@@ -377,6 +381,123 @@ TEST(Trace, OneTraceManyTechniques)
     // The address stream is identical, so miss counts are close (they
     // differ only via shadow-side flush effects).
     EXPECT_EQ(misses[0], recorded.result.tlbMisses);
+}
+
+// ---------------------------------------------------------------------
+// Untrusted headers: a truncated header or a count field that promises
+// more than the file holds must make the reader return false — never
+// allocate the promised size or abort.
+// ---------------------------------------------------------------------
+
+constexpr std::uint64_t kLyingCount = std::uint64_t{1} << 61;
+
+/** @p bytes with the u64 at @p offset replaced by @p v. */
+std::string
+patchU64(std::string bytes, std::size_t offset, std::uint64_t v)
+{
+    std::memcpy(&bytes[offset], &v, sizeof(v));
+    return bytes;
+}
+
+/** A header-only APTRACE1 file: magic, name_len 0, seed, warmup,
+ *  count (40 bytes). */
+std::string
+emptyV1File()
+{
+    std::stringstream ss;
+    Trace t;
+    EXPECT_TRUE(writeTraceV1(t, ss));
+    EXPECT_EQ(ss.str().size(), 40u);
+    return ss.str();
+}
+
+/** A header-only APTRACE2 file: magic, name_len 0, seed, warmup
+ *  events, warmup ops, event count, op count (56 bytes). */
+std::string
+emptyV2File()
+{
+    std::stringstream ss;
+    EXPECT_TRUE(writeCompiledTrace(CompiledTrace{}, ss));
+    EXPECT_EQ(ss.str().size(), 56u);
+    return ss.str();
+}
+
+/** A header-only APWT file: magic, version, count, appended,
+ *  dropped (32 bytes). */
+std::string
+emptyWalkTraceFile()
+{
+    std::stringstream ss;
+    WalkTraceBuffer buf(4);
+    EXPECT_TRUE(writeWalkTrace(buf, ss));
+    EXPECT_EQ(ss.str().size(), 32u);
+    return ss.str();
+}
+
+bool
+readsAsTrace(const std::string &bytes)
+{
+    std::stringstream ss(bytes);
+    Trace t;
+    return readTrace(ss, t);
+}
+
+bool
+readsAsWalkTrace(const std::string &bytes)
+{
+    std::stringstream ss(bytes);
+    std::vector<WalkTraceRecord> records;
+    std::uint64_t dropped = 0;
+    return readWalkTrace(ss, records, dropped);
+}
+
+TEST(TraceFileRejects, V1TruncatedHeader)
+{
+    const std::string f = emptyV1File();
+    ASSERT_TRUE(readsAsTrace(f));
+    for (std::size_t n = 0; n < f.size(); ++n)
+        EXPECT_FALSE(readsAsTrace(f.substr(0, n))) << n << " bytes";
+}
+
+TEST(TraceFileRejects, V1LyingEventCount)
+{
+    EXPECT_FALSE(readsAsTrace(patchU64(emptyV1File(), 32, kLyingCount)));
+}
+
+TEST(TraceFileRejects, V2TruncatedHeader)
+{
+    const std::string f = emptyV2File();
+    ASSERT_TRUE(readsAsTrace(f));
+    for (std::size_t n = 0; n < f.size(); ++n)
+        EXPECT_FALSE(readsAsTrace(f.substr(0, n))) << n << " bytes";
+}
+
+TEST(TraceFileRejects, V2LyingCounts)
+{
+    const std::string f = emptyV2File();
+    // op_count, then event count, then warmup ops.
+    EXPECT_FALSE(readsAsTrace(patchU64(f, 48, kLyingCount)));
+    EXPECT_FALSE(readsAsTrace(patchU64(f, 40, kLyingCount)));
+    EXPECT_FALSE(readsAsTrace(patchU64(f, 32, kLyingCount)));
+    // The compiled reader checks the same counts (decompile is what
+    // would reserve a lying event count).
+    std::stringstream ss(patchU64(f, 40, kLyingCount));
+    CompiledTrace c;
+    EXPECT_FALSE(readCompiledTrace(ss, c));
+}
+
+TEST(TraceFileRejects, WalkTraceTruncatedHeader)
+{
+    const std::string f = emptyWalkTraceFile();
+    ASSERT_TRUE(readsAsWalkTrace(f));
+    for (std::size_t n = 0; n < f.size(); ++n)
+        EXPECT_FALSE(readsAsWalkTrace(f.substr(0, n))) << n << " bytes";
+}
+
+TEST(TraceFileRejects, WalkTraceLyingCount)
+{
+    EXPECT_FALSE(
+        readsAsWalkTrace(patchU64(emptyWalkTraceFile(), 8, kLyingCount)));
 }
 
 } // namespace

@@ -19,32 +19,12 @@
 #include "sim/machine.hh"
 #include "trace/trace_cache.hh"
 #include "workloads/workload.hh"
+#include "result_eq.hh"
 
 namespace
 {
 
 using namespace ap;
-
-void
-expectSameResult(const RunResult &a, const RunResult &b)
-{
-    EXPECT_EQ(a.workload, b.workload);
-    EXPECT_EQ(a.mode, b.mode);
-    EXPECT_EQ(a.pageSize, b.pageSize);
-    EXPECT_EQ(a.instructions, b.instructions);
-    EXPECT_EQ(a.idealCycles, b.idealCycles);
-    EXPECT_EQ(a.walkCycles, b.walkCycles);
-    EXPECT_EQ(a.trapCycles, b.trapCycles);
-    EXPECT_EQ(a.tlbMisses, b.tlbMisses);
-    EXPECT_EQ(a.walks, b.walks);
-    EXPECT_EQ(a.traps, b.traps);
-    EXPECT_EQ(a.guestPageFaults, b.guestPageFaults);
-    EXPECT_DOUBLE_EQ(a.avgWalkRefs, b.avgWalkRefs);
-    for (int c = 0; c < 6; ++c)
-        EXPECT_DOUBLE_EQ(a.coverage[c], b.coverage[c]);
-    for (std::size_t k = 0; k < kNumTrapKinds; ++k)
-        EXPECT_EQ(a.trapByKind[k], b.trapByKind[k]);
-}
 
 WorkloadParams
 smallParams()
@@ -58,9 +38,9 @@ smallParams()
 
 /**
  * The core contract, per workload: for each page size and each
- * shadow-capable mode, a fresh generated run, the recording run, a
- * batched cached replay, and a per-event cached replay all produce
- * the identical RunResult.
+ * virtualized mode (range included), a fresh generated run, the
+ * recording run, a batched cached replay, and a per-event cached
+ * replay all produce the identical RunResult.
  */
 class TraceCacheEquivalence
     : public ::testing::TestWithParam<std::string>
@@ -73,8 +53,8 @@ TEST_P(TraceCacheEquivalence, CachedReplayMatchesFreshRun)
     const WorkloadParams params = smallParams();
     for (PageSize ps : {PageSize::Size4K, PageSize::Size2M}) {
         TraceCache cache;
-        for (VirtMode mode :
-             {VirtMode::Nested, VirtMode::Shadow, VirtMode::Agile}) {
+        for (VirtMode mode : {VirtMode::Nested, VirtMode::Shadow,
+                              VirtMode::Agile, VirtMode::Range}) {
             SCOPED_TRACE(wl + " " +
                          (ps == PageSize::Size4K ? "4K" : "2M") +
                          " mode " + std::to_string(int(mode)));
@@ -100,7 +80,7 @@ TEST_P(TraceCacheEquivalence, CachedReplayMatchesFreshRun)
         }
         // One record per (workload, page size); everything else hit.
         EXPECT_EQ(cache.records(), 1u);
-        EXPECT_EQ(cache.replays(), 5u);
+        EXPECT_EQ(cache.replays(), 7u);
     }
 }
 
