@@ -56,7 +56,6 @@ struct BenchOptions
     bool pageSizeSet = false;
     bool traceCache = true;
     bool snapshotCache = true;
-    bool batchedWalks = true;
     unsigned vcpus = 1;
     TlbCoherence tlbCoherence = TlbCoherence::Software;
     std::string snapshotDir;
@@ -77,7 +76,7 @@ struct BenchOptions
         return "[ops] [--ops N] [--jobs N] [--seed N]"
                " [--page-size 4K|2M] [--vcpus N]"
                " [--tlb-coherence sw|hw] [--no-trace-cache]"
-               " [--no-snapshot-cache] [--no-batched-walks]"
+               " [--no-snapshot-cache]"
                " [--snapshot-dir DIR] [--snapshot-pool-mb N]";
     }
 
@@ -147,8 +146,6 @@ struct BenchOptions
             traceCache = false;
         } else if (!std::strcmp(arg, "--no-snapshot-cache")) {
             snapshotCache = false;
-        } else if (!std::strcmp(arg, "--no-batched-walks")) {
-            batchedWalks = false;
         } else if (!std::strcmp(arg, "--snapshot-dir")) {
             snapshotDir = value("--snapshot-dir");
         } else if (!std::strcmp(arg, "--snapshot-pool-mb")) {

@@ -133,7 +133,6 @@ main(int argc, char **argv)
                        " [--require-engine-speedup]");
     }
     unsigned jobs = ap::effectiveJobs(opt.jobs);
-    ap::setBatchedWalksDefault(opt.batchedWalks);
     // At jobs=1, or on a single-hardware-thread host, the "parallel"
     // pass still runs (it is the cold baseline for the cache/engine
     // ratios) but its scaling number is meaningless — mark it skipped

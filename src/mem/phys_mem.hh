@@ -114,8 +114,8 @@ class PhysMem
     }
 
     /**
-     * Unchecked memo view of the frame-to-table mapping for batched
-     * walk pre-resolution: null unless @p frame currently holds a
+     * Unchecked view of the frame-to-table mapping for charge-free
+     * architectural lookups: null unless @p frame currently holds a
      * page-table page. Entries are invalidated by free()/restore (the
      * slot is nulled) before any pointer could dangle.
      */

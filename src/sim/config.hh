@@ -118,11 +118,6 @@ struct SimConfig
     // the snapshot config digest (simConfigDigest).
     // ------------------------------------------------------------------
 
-    /** Batched-replay runs pre-resolve their sorted VPNs read-only so
-     *  real walks find shared upper-level subtrees cache-warm
-     *  ("--no-batched-walks" in the drivers turns this off). Stats are
-     *  exact either way. */
-    bool batchedWalks = true;
     /** Pages per slab of the page-table-page arena (sizing knob). */
     std::uint64_t arenaSlabPages = 256;
 
@@ -142,15 +137,6 @@ struct SimConfig
      */
     bool applyOption(const std::string &option);
 };
-
-/**
- * Process-wide default for SimConfig::batchedWalks, consulted by the
- * matrix drivers' configFor() path so "--no-batched-walks" reaches
- * every cell they build. Host-side engine toggle only — simulated
- * results are identical either way.
- */
-void setBatchedWalksDefault(bool on);
-bool batchedWalksDefault();
 
 /** Parse a mode name ("native", "nested", "shadow", "agile", "shsp",
  *  "range"). Accepts every name virtModeName() emits. */

@@ -568,10 +568,6 @@ Machine::runBatchRange(const Addr *vas, const std::uint64_t *write_bits,
     // mappings; the filter would skip those checks, so turn it off.
     const bool filter_ok = !cfg_.verifyTranslations;
 
-    const std::uint64_t misses_before = tlb_misses_;
-    if (cfg_.batchedWalks && prime_next_ && count >= 64)
-        primeBatch(vas, begin, count);
-
     const Cycles op_cycles = cfg_.cyclesPerOp;
     // The flush generation only moves inside maybeInterval() or
     // accessSlow(), so cache it in a register and re-load after
@@ -699,28 +695,6 @@ Machine::runBatchRange(const Addr *vas, const std::uint64_t *write_bits,
     g_lanes_scanned.fetch_add(lanes, std::memory_order_relaxed);
     g_lanes_filtered.fetch_add(filtered, std::memory_order_relaxed);
     g_bulk_retires.fetch_add(retires, std::memory_order_relaxed);
-
-    // Re-arm priming only at walk densities where the sorted pre-touch
-    // pays for the sort (roughly one miss per 16 accesses — cold or
-    // TLB-thrashing phases); a warm TLB keeps it off.
-    prime_next_ = (tlb_misses_ - misses_before) * 16 >= count;
-}
-
-void
-Machine::primeBatch(const Addr *vas, std::size_t begin, std::size_t count)
-{
-    prime_vpns_.clear();
-    prime_vpns_.reserve(count);
-    for (std::size_t i = begin; i < begin + count; ++i)
-        prime_vpns_.push_back(vas[i] >> kPageShift);
-    std::sort(prime_vpns_.begin(), prime_vpns_.end());
-    prime_vpns_.erase(
-        std::unique(prime_vpns_.begin(), prime_vpns_.end()),
-        prime_vpns_.end());
-    const TranslationContext &ctx = guest_os_->context(current_);
-    Walker::PrimeMemo memo;
-    for (Addr vpn : prime_vpns_)
-        awalker_->primeWalk(ctx, vpn << kPageShift, memo);
 }
 
 void
@@ -1207,10 +1181,6 @@ Machine::restoreState(Deserializer &d)
     guest_os_->abandonForRestore();
     if (smgr_)
         smgr_->abandonForRestore();
-    // Host-side priming gate: a fresh machine primes its first batch,
-    // so a reused one must too (the flag is host-only and never
-    // serialized, but it must not leak across lives).
-    prime_next_ = true;
 
     // Order matters: memory first (page trees materialize), then the
     // structures that hold frame ids into it, then the guest OS (which

@@ -311,16 +311,6 @@ class Machine : public stats::StatGroup, public WorkloadHost
         const std::array<std::uint64_t, kNumTrapKinds> &traps_before);
 
     /**
-     * Batched-walk pre-resolution (cfg_.batchedWalks): VPN-sort the
-     * batch's unique pages and prime-walk them so the real in-order
-     * walks find their upper-level PTE lines warm, sharing each upper
-     * subtree once per batch. Purely host-side: no simulated state or
-     * statistic moves.
-     */
-    void primeBatch(const Addr *vas, std::size_t begin,
-                    std::size_t count);
-
-    /**
      * Drain one access range on the active vCPU's stack (no rotation
      * inside) in 64-lane blocks: lanes the last-translation filter
      * proves are same-page L1 hits retire in bulk runs, every other
@@ -444,13 +434,6 @@ class Machine : public stats::StatGroup, public WorkloadHost
     std::uint64_t instructions_ = 0;
     Cycles walk_cycles_ = 0;
     std::uint64_t tlb_misses_ = 0;
-
-    /** Scratch VPN buffer for primeBatch (reused, never serialized:
-     *  priming is host-side only). */
-    std::vector<Addr> prime_vpns_;
-    /** Miss-density gate: prime the next batch only when the previous
-     *  one actually walked (a warm forked TLB skips priming). */
-    bool prime_next_ = true;
 
     Tick next_interval_ = 0;
     // Interval deltas for policy/SHSP decisions.

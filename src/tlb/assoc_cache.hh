@@ -17,6 +17,7 @@
 #ifndef AGILEPAGING_TLB_ASSOC_CACHE_HH
 #define AGILEPAGING_TLB_ASSOC_CACHE_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <type_traits>
 #include <vector>
@@ -26,6 +27,12 @@
 
 namespace ap
 {
+
+/** Tagged keys, as the TLBs and the PWC build them: a page or prefix
+ *  number in the low kKeyTagShift bits, the ASID above. */
+inline constexpr unsigned kKeyTagShift = 40;
+inline constexpr std::uint64_t kKeyIndexMask =
+    (std::uint64_t{1} << kKeyTagShift) - 1;
 
 /**
  * @tparam V payload stored per entry.
@@ -137,6 +144,33 @@ class AssocCache
             if (gens_[i] == gen_ && pred(keys_[i], values_[i]))
                 gens_[i] = 0;
         }
+    }
+
+    /**
+     * Remove every entry keyed (@p tag << kKeyTagShift) | i with i in
+     * [@p lo, @p hi]. A range with fewer indices than the cache has
+     * sets erases key by key, one set probe each; a wider one takes a
+     * single pass over every line. Both remove exactly the same
+     * entries.
+     */
+    void
+    eraseTaggedRange(std::uint64_t tag, std::uint64_t lo, std::uint64_t hi)
+    {
+        const std::uint64_t high = tag << kKeyTagShift;
+        // An index past the mask, or a tag too wide for the bits above
+        // it, never equals a key's field, so such ranges erase nothing.
+        if (lo > hi || lo > kKeyIndexMask || (high >> kKeyTagShift) != tag)
+            return;
+        hi = std::min(hi, kKeyIndexMask);
+        if (hi - lo + 1 < sets_) {
+            for (std::uint64_t i = lo; i <= hi; ++i)
+                erase(high | i);
+            return;
+        }
+        eraseIf([=](std::uint64_t k, const V &) {
+            const std::uint64_t i = k & kKeyIndexMask;
+            return (k >> kKeyTagShift) == tag && i >= lo && i <= hi;
+        });
     }
 
     /** Drop everything: O(1) generation bump, no line is touched. */

@@ -81,6 +81,22 @@ class PageWalkCache : public stats::StatGroup
 
     bool enabled() const { return enabled_; }
 
+    /** Visit every live entry as @p fn(depth, prefix, asid, entry),
+     *  where prefix is the VA bits consumed above @p depth. LRU state
+     *  is untouched. */
+    template <typename Fn>
+    void
+    forEach(const Fn &fn) const
+    {
+        for (unsigned d = 1; d < kPtLevels; ++d) {
+            tables_[d - 1].forEach(
+                [&](std::uint64_t k, const PwcEntry &e) {
+                    fn(d, k & kKeyIndexMask,
+                       static_cast<ProcId>(k >> kKeyTagShift), e);
+                });
+        }
+    }
+
     /** Snapshot support. */
     void
     saveState(Serializer &s) const

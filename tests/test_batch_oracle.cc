@@ -13,6 +13,12 @@
  * writes landing on clean entries, runs cut by policy intervals and
  * vCPU quanta, while the original accesses keep the misses and the
  * control events keep the flushes.
+ *
+ * The fork path runs the same loop from a restored machine: each cell
+ * is also split at its midpoint, warmed batched, captured at the
+ * boundary, and its measured half replayed batched in a fresh machine
+ * and in a pooled machine that last ran another cell. Each must
+ * match the per-event run of the same split trace.
  */
 
 #include <gtest/gtest.h>
@@ -23,7 +29,9 @@
 
 #include "base/rng.hh"
 #include "sim/machine.hh"
+#include "sim/machine_pool.hh"
 #include "sim/oracle.hh"
+#include "sim/snapshot.hh"
 #include "trace/compiled_trace.hh"
 #include "result_eq.hh"
 
@@ -72,6 +80,17 @@ replay(const std::shared_ptr<const CompiledTrace> &compiled,
     return m.run(w);
 }
 
+/** Restore @p snap into @p m and replay the measured region batched. */
+RunResult
+forkBatched(const std::shared_ptr<const CompiledTrace> &compiled,
+            const MachineSnapshot &snap, Machine &m)
+{
+    EXPECT_TRUE(restoreSnapshot(snap, m));
+    BatchReplayWorkload w(compiled, true);
+    w.resumeAtBoundary(m);
+    return m.runMeasured(w);
+}
+
 /** (page size, vCPUs) */
 class BatchOracle
     : public ::testing::TestWithParam<std::tuple<PageSize, unsigned>>
@@ -110,6 +129,57 @@ TEST_P(BatchOracle, BatchedMatchesPerEvent)
     const Machine::BatchFilterStats stats = Machine::batchFilterStats();
     EXPECT_GT(stats.bulkRetires, 0u);
     EXPECT_GT(stats.lanesFiltered, 0u);
+}
+
+TEST_P(BatchOracle, ForkedBatchMatchesPerEvent)
+{
+    const auto [ps, vcpus] = GetParam();
+    // Shared by every cell: leases are per config, so each seed after
+    // the first restores into the machine the previous seed ran.
+    MachinePool pool;
+    std::uint64_t configs = 0;
+    for (std::uint64_t seed : kSeeds) {
+        OracleOptions opts;
+        opts.seed = seed;
+        opts.pageSize = ps;
+        opts.numVcpus = vcpus;
+        Trace trace = withSamePageBursts(makeRandomTrace(opts));
+        trace.warmupEvents = trace.events.size() / 2;
+        auto compiled =
+            std::make_shared<const CompiledTrace>(compileTrace(trace));
+        configs = 0;
+        for (TlbCoherence coh :
+             {TlbCoherence::Software, TlbCoherence::Hardware}) {
+            if (vcpus == 1 && coh == TlbCoherence::Hardware)
+                continue;
+            opts.tlbCoherence = coh;
+            for (VirtMode mode :
+                 {VirtMode::Native, VirtMode::Nested, VirtMode::Shadow,
+                  VirtMode::Agile, VirtMode::Range}) {
+                SCOPED_TRACE("seed " + std::to_string(seed) + " mode " +
+                             virtModeName(mode) + " coherence " +
+                             std::to_string(int(coh)));
+                ++configs;
+                const SimConfig cfg = oracleConfig(mode, opts);
+                const RunResult per_event = replay(compiled, cfg, false);
+
+                Machine warm(cfg);
+                BatchReplayWorkload warm_replay(compiled, true);
+                warm.runWarmup(warm_replay);
+                const SnapshotPtr snap = captureSnapshot(warm);
+                expectSameResult(warm.runMeasured(warm_replay), per_event);
+
+                Machine fresh(cfg);
+                expectSameResult(forkBatched(compiled, *snap, fresh),
+                                 per_event);
+
+                MachinePool::Lease lease = pool.acquire(cfg);
+                expectSameResult(forkBatched(compiled, *snap, *lease),
+                                 per_event);
+            }
+        }
+    }
+    EXPECT_EQ(pool.reuses(), (std::size(kSeeds) - 1) * configs);
 }
 
 INSTANTIATE_TEST_SUITE_P(

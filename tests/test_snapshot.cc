@@ -125,12 +125,13 @@ INSTANTIATE_TEST_SUITE_P(AllWorkloads, SnapshotEquivalence,
                          [](const auto &info) { return info.param; });
 
 /**
- * The batched-walk priming pass is a host-side accelerator: with it on
- * or off, a forked batched replay must produce the identical result
- * (and the knob is deliberately outside the snapshot config digest,
- * so the two sharings interoperate on one cache).
+ * A forked batched replay must reproduce the recording run, and so
+ * must a second fork of the same snapshot (the first fork must leave
+ * nothing behind that the second one could see). The first call
+ * records the trace, the second captures the warm snapshot, and the
+ * last two fork it.
  */
-TEST(SnapshotEquivalence, BatchedWalkPrimingDoesNotChangeResults)
+TEST(SnapshotEquivalence, ForkedRunsMatchRecordedRun)
 {
     const WorkloadParams params = smallParams();
     for (const std::string &wl : {std::string("gcc"),
@@ -138,27 +139,20 @@ TEST(SnapshotEquivalence, BatchedWalkPrimingDoesNotChangeResults)
         for (PageSize ps : {PageSize::Size4K, PageSize::Size2M}) {
             SCOPED_TRACE(wl + " " +
                          (ps == PageSize::Size4K ? "4K" : "2M"));
-            SimConfig cfg = configFor(VirtMode::Agile, ps, params);
-            EXPECT_EQ(simConfigDigest([&] {
-                          SimConfig c = cfg;
-                          c.batchedWalks = !c.batchedWalks;
-                          return c;
-                      }()),
-                      simConfigDigest(cfg));
-
+            const SimConfig cfg = configFor(VirtMode::Agile, ps, params);
             TraceCache traces;
             SnapshotCache snaps;
-            cfg.batchedWalks = true;
             RunResult recorded = runCellSnapshotted(
                 traces, snaps, wl, params, cfg, true);
             runCellSnapshotted(traces, snaps, wl, params, cfg, true);
-            RunResult primed = runCellSnapshotted(traces, snaps, wl,
+            RunResult forked = runCellSnapshotted(traces, snaps, wl,
                                                   params, cfg, true);
-            cfg.batchedWalks = false;
-            RunResult plain = runCellSnapshotted(traces, snaps, wl,
-                                                 params, cfg, true);
-            expectSameResult(recorded, primed);
-            expectSameResult(recorded, plain);
+            RunResult forked_again = runCellSnapshotted(
+                traces, snaps, wl, params, cfg, true);
+            expectSameResult(recorded, forked);
+            expectSameResult(recorded, forked_again);
+            EXPECT_EQ(snaps.captures(), 1u);
+            EXPECT_EQ(snaps.forks(), 2u);
         }
     }
 }

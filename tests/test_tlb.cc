@@ -6,6 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <tuple>
+#include <vector>
+
+#include "base/rng.hh"
+#include "base/serialize.hh"
 #include "tlb/assoc_cache.hh"
 #include "tlb/nested_tlb.hh"
 #include "tlb/pwc.hh"
@@ -140,6 +146,238 @@ TEST(Tlb, LargePageGranularity)
         tlb.lookup(kLargePageBytes * 3 + 0x123456, 1).has_value());
     EXPECT_FALSE(
         tlb.lookup(kLargePageBytes * 4, 1).has_value());
+}
+
+// Range invalidation erases key by key when the range has fewer
+// indices than the structure has sets and scans every line otherwise;
+// either way it must erase exactly the in-range entries of one ASID.
+
+/** Reference: erase @p tag's keys in [lo, hi] by scanning every line. */
+void
+scanEraseRange(AssocCache<int> &c, std::uint64_t tag, std::uint64_t lo,
+               std::uint64_t hi)
+{
+    c.eraseIf([=](std::uint64_t k, const int &) {
+        const std::uint64_t i = k & kKeyIndexMask;
+        return (k >> kKeyTagShift) == tag && i >= lo && i <= hi;
+    });
+}
+
+std::vector<std::uint8_t>
+cacheBytes(const AssocCache<int> &c)
+{
+    Serializer s;
+    c.saveState(s);
+    return s.data();
+}
+
+TEST(TlbFlushRange, PerKeyEraseMatchesScanByteForByte)
+{
+    Rng rng(7);
+    const std::uint64_t sets = 128;
+    AssocCache<int> filled(sets * 4, 4);
+    for (int n = 0; n < 2000; ++n) {
+        const std::uint64_t tag = rng.nextRange(1, 3);
+        filled.insert((tag << kKeyTagShift) | rng.nextBelow(4 * sets), n);
+    }
+    // Dead lines among live ones, so erase order cannot hide.
+    for (int n = 0; n < 100; ++n)
+        filled.erase((std::uint64_t{1} << kKeyTagShift) |
+                     rng.nextBelow(sets));
+
+    struct Case
+    {
+        std::uint64_t tag, lo, hi;
+    };
+    std::vector<Case> cases = {
+        {1, 0, 0},
+        {1, 0, sets - 2}, // sets - 1 indices: per key
+        {1, 0, sets - 1}, // exactly sets indices: scan
+        {1, 0, sets},     // sets + 1 indices: scan
+        {2, 5, 5 + sets - 2},
+        {2, 5, 5 + sets},
+        {3, 0, kKeyIndexMask}, // every index of one tag
+        {3, kKeyIndexMask - 3, kKeyIndexMask + 10},
+        {1, kKeyIndexMask + 1, kKeyIndexMask + 5},
+        {(std::uint64_t{1} << 24) | 1, 0, 10}, // tag wider than 24 bits
+        {2, 10, 3},                            // empty
+    };
+    for (int n = 0; n < 300; ++n) {
+        const std::uint64_t lo = rng.nextBelow(4 * sets);
+        cases.push_back(
+            {rng.nextRange(1, 3), lo, lo + rng.nextBelow(2 * sets)});
+    }
+    for (const Case &c : cases) {
+        SCOPED_TRACE(testing::Message() << "tag " << c.tag << " ["
+                                        << c.lo << ", " << c.hi << "]");
+        AssocCache<int> targeted = filled;
+        AssocCache<int> scanned = filled;
+        targeted.eraseTaggedRange(c.tag, c.lo, c.hi);
+        scanEraseRange(scanned, c.tag, c.lo, c.hi);
+        EXPECT_EQ(cacheBytes(targeted), cacheBytes(scanned));
+    }
+}
+
+/** Table III TLBs for each granule plus the PWC, filled at random
+ *  around one window of the address space. */
+struct FlushRig
+{
+    /** (structure, page number or PWC prefix, asid, payload). */
+    using Entry = std::tuple<unsigned, std::uint64_t, ProcId, FrameId>;
+
+    stats::StatGroup g{"g"};
+    Tlb l2u4k{"l2u4k", &g, 512, 4, PageSize::Size4K};
+    Tlb l1d4k{"l1d4k", &g, 64, 4, PageSize::Size4K};
+    Tlb l1d2m{"l1d2m", &g, 32, 4, PageSize::Size2M};
+    Tlb l1d1g{"l1d1g", &g, 4, 4, PageSize::Size1G};
+    PageWalkCache pwc{&g, 32, 4, true};
+
+    std::vector<Tlb *>
+    tlbs()
+    {
+        return {&l2u4k, &l1d4k, &l1d2m, &l1d1g};
+    }
+
+    static unsigned
+    pwcShift(unsigned depth)
+    {
+        return kPageShift + (kPtLevels - depth) * kLevelBits;
+    }
+
+    void
+    fill(Rng &rng, Addr window)
+    {
+        static const std::uint64_t kSets[] = {128, 16, 8, 1};
+        FrameId payload = 1;
+        unsigned s = 0;
+        for (Tlb *t : tlbs()) {
+            const Addr g = pageBytes(t->pageSize());
+            const std::uint64_t span = 4 * (kSets[s++] + 1);
+            for (int n = 0; n < 1500; ++n) {
+                const Addr va = window + rng.nextBelow(span) * g +
+                                rng.nextBelow(g);
+                const ProcId asid = ProcId(rng.nextRange(1, 3));
+                t->insert(va, asid, TlbEntry{.pfn = payload++, .asid = asid});
+            }
+        }
+        for (int n = 0; n < 300; ++n) {
+            const unsigned depth = unsigned(rng.nextRange(1, 3));
+            const Addr g = Addr{1} << pwcShift(depth);
+            const Addr va = window + rng.nextBelow(40) * g + rng.nextBelow(g);
+            pwc.fill(va, ProcId(rng.nextRange(1, 3)), depth, payload++,
+                     rng.chance(0.5));
+        }
+    }
+
+    std::set<Entry>
+    entries()
+    {
+        std::set<Entry> out;
+        unsigned s = 0;
+        for (Tlb *t : tlbs()) {
+            const unsigned shift = pageShift(t->pageSize());
+            t->forEach([&](Addr va, ProcId asid, const TlbEntry &e) {
+                out.emplace(s, va >> shift, asid, e.pfn);
+            });
+            ++s;
+        }
+        pwc.forEach([&](unsigned depth, std::uint64_t prefix, ProcId asid,
+                        const PwcEntry &e) {
+            out.emplace(10 + depth, prefix, asid, e.frame);
+        });
+        return out;
+    }
+
+    /** Whether @p e lies in [base, base+len) of @p asid (len > 0). */
+    static bool
+    covered(const Entry &e, Addr base, Addr len, ProcId asid)
+    {
+        const unsigned s = std::get<0>(e);
+        static const unsigned kTlbShift[] = {
+            pageShift(PageSize::Size4K), pageShift(PageSize::Size4K),
+            pageShift(PageSize::Size2M), pageShift(PageSize::Size1G)};
+        const unsigned shift = s < 10 ? kTlbShift[s] : pwcShift(s - 10);
+        const std::uint64_t i = std::get<1>(e);
+        return std::get<2>(e) == asid && i >= (base >> shift) &&
+               i <= ((base + len - 1) >> shift);
+    }
+
+    void
+    flushRange(Addr base, Addr len, ProcId asid)
+    {
+        for (Tlb *t : tlbs())
+            t->flushRange(base, len, asid);
+        pwc.flushRange(base, len, asid);
+    }
+};
+
+TEST(TlbFlushRange, RandomRangesDropExactlyInRangeEntries)
+{
+    // (granule, set count) pairs the ranges are sized against: each
+    // TLB and each PWC table of the rig.
+    const std::vector<std::pair<Addr, std::uint64_t>> targets = {
+        {kPageBytes, 128},       {kPageBytes, 16},
+        {kLargePageBytes, 8},    {kHugePageBytes, 1},
+        {Addr{1} << 30, 8},      {Addr{1} << 39, 8},
+    };
+    Rng rng(20160618);
+    unsigned mixed = 0; // flushes that erased some entries and kept some
+    const unsigned kTrials = 240;
+    for (unsigned trial = 0; trial < kTrials; ++trial) {
+        FlushRig rig;
+        const Addr window =
+            trial % 4 == 0 ? 0 : rng.nextBelow(Addr{1} << 17) << 30;
+        rig.fill(rng, window);
+        for (unsigned f = 0; f < 3; ++f) {
+            const auto [g, sets] = targets[(trial + f) % targets.size()];
+            Addr len = 0;
+            switch ((trial / targets.size() + f) % 6) {
+              case 0: len = (sets > 1 ? sets - 1 : 1) * g; break;
+              case 1: len = sets * g; break;
+              case 2: len = (sets + 1) * g; break;
+              case 3: len = rng.nextRange(1, 3 * sets * g); break;
+              case 4: len = 1; break;
+              default:
+                len = rng.nextRange(1, 4 * sets) * kPageBytes +
+                      rng.nextRange(1, kPageBytes - 1);
+                break;
+            }
+            Addr base = 0;
+            if (rng.nextBelow(4) != 0) {
+                base = window + rng.nextBelow(2 * (sets + 1) * g);
+                if (rng.chance(0.5))
+                    base &= ~(g - 1);
+            }
+            const ProcId asid = ProcId(rng.nextRange(1, 3));
+            SCOPED_TRACE(testing::Message()
+                         << "trial " << trial << " flush " << f << " base 0x"
+                         << std::hex << base << " len 0x" << len);
+
+            const std::set<FlushRig::Entry> before = rig.entries();
+            std::set<FlushRig::Entry> expected;
+            for (const FlushRig::Entry &e : before) {
+                if (!FlushRig::covered(e, base, len, asid))
+                    expected.insert(e);
+            }
+            rig.flushRange(base, len, asid);
+            ASSERT_EQ(rig.entries(), expected);
+            mixed += !expected.empty() && expected.size() < before.size();
+        }
+    }
+    EXPECT_GT(mixed, kTrials);
+
+    // Whole address space: every entry of the ASID goes, others stay.
+    for (Addr len : {Addr{1} << 48, ~Addr{0}}) {
+        FlushRig rig;
+        rig.fill(rng, Addr{1} << 40);
+        std::set<FlushRig::Entry> expected;
+        for (const FlushRig::Entry &e : rig.entries()) {
+            if (std::get<2>(e) != 2)
+                expected.insert(e);
+        }
+        rig.flushRange(0, len, 2);
+        EXPECT_EQ(rig.entries(), expected);
+    }
 }
 
 class HierarchyTest : public ::testing::Test
