@@ -22,12 +22,11 @@
 namespace
 {
 
-ap::TraceCache *g_traces = nullptr;
-ap::SnapshotCache *g_snaps = nullptr;
-
-ap::RunResult
-run(const std::string &wl, ap::BackPolicy back, std::uint32_t threshold,
-    const ap::BenchOptions &opt)
+/** Total overhead of one agile cell under the given policy knobs. */
+double
+overhead(ap::TraceCache &traces, ap::SnapshotCache &snaps,
+         const std::string &wl, ap::BackPolicy back,
+         std::uint32_t threshold, const ap::BenchOptions &opt)
 {
     ap::WorkloadParams params = ap::defaultParamsFor(wl);
     params.operations = opt.ops;
@@ -37,14 +36,8 @@ run(const std::string &wl, ap::BackPolicy back, std::uint32_t threshold,
         ap::configFor(ap::VirtMode::Agile, opt.pageSize, params);
     cfg.policy.backPolicy = back;
     cfg.policy.writeThreshold = threshold;
-    if (g_traces && g_snaps)
-        return ap::runCellSnapshotted(*g_traces, *g_snaps, wl, params,
-                                      cfg);
-    if (g_traces)
-        return ap::runCellCached(*g_traces, wl, params, cfg);
-    ap::Machine machine(cfg);
-    auto w = ap::makeWorkload(wl, params);
-    return machine.run(*w);
+    return ap::runCellSnapshotted(traces, snaps, wl, params, cfg)
+        .totalOverhead();
 }
 
 } // namespace
@@ -60,8 +53,6 @@ main(int argc, char **argv)
     }
     ap::TraceCache traces;
     ap::SnapshotCache snaps(opt.snapshotDir);
-    g_traces = opt.traceCache ? &traces : nullptr;
-    g_snaps = opt.traceCache && opt.snapshotCache ? &snaps : nullptr;
 
     const std::string workloads[] = {"dedup", "gcc", "memcached"};
 
@@ -70,12 +61,11 @@ main(int argc, char **argv)
                 "periodic", "dirty-scan");
     for (const std::string &wl : workloads) {
         double none =
-            run(wl, ap::BackPolicy::None, 2, opt).totalOverhead();
-        double periodic =
-            run(wl, ap::BackPolicy::PeriodicReset, 2, opt)
-                .totalOverhead();
+            overhead(traces, snaps, wl, ap::BackPolicy::None, 2, opt);
+        double periodic = overhead(traces, snaps, wl,
+                                   ap::BackPolicy::PeriodicReset, 2, opt);
         double dirty =
-            run(wl, ap::BackPolicy::DirtyScan, 2, opt).totalOverhead();
+            overhead(traces, snaps, wl, ap::BackPolicy::DirtyScan, 2, opt);
         std::printf("%-11s %11.1f%% %11.1f%% %11.1f%%\n", wl.c_str(),
                     none * 100, periodic * 100, dirty * 100);
     }
@@ -87,8 +77,8 @@ main(int argc, char **argv)
     for (const std::string &wl : workloads) {
         std::printf("%-11s", wl.c_str());
         for (std::uint32_t thr : {1u, 2u, 4u, 8u}) {
-            double o = run(wl, ap::BackPolicy::DirtyScan, thr, opt)
-                           .totalOverhead();
+            double o = overhead(traces, snaps, wl,
+                                ap::BackPolicy::DirtyScan, thr, opt);
             std::printf(" %9.1f%%", o * 100);
         }
         std::printf("\n");
@@ -96,14 +86,6 @@ main(int argc, char **argv)
     std::printf("\nThe paper uses threshold 2 ('a small threshold like "
                 "the one used in branch\npredictors') with the "
                 "dirty-bit scan as the effective back policy.\n");
-    if (g_traces)
-        std::printf("[trace cache: %llu recorded, %llu replayed; "
-                    "snapshots: %llu captured, %llu forked, %llu from "
-                    "disk]\n",
-                    (unsigned long long)traces.records(),
-                    (unsigned long long)traces.replays(),
-                    (unsigned long long)snaps.captures(),
-                    (unsigned long long)snaps.forks(),
-                    (unsigned long long)snaps.diskLoads());
+    ap::printCacheSummary(traces, snaps);
     return 0;
 }

@@ -1,9 +1,10 @@
 /**
  * @file
- * Shared command-line handling for the bench drivers.
+ * Shared command-line handling and cache-reuse footer for the bench
+ * drivers.
  *
  * Every bench accepts the same core knobs — operation count, worker
- * threads, seed, page size, and the trace/snapshot cache switches —
+ * threads, seed, page size, vCPUs and the snapshot directory —
  * parsed here once instead of fourteen times. Benches keep their own
  * loop for bench-specific flags and call BenchOptions::consume() for
  * everything else; a bare integer argument is accepted as the
@@ -15,6 +16,7 @@
 #define AGILEPAGING_BENCH_BENCH_COMMON_HH
 
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
@@ -22,6 +24,7 @@
 
 #include "base/types.hh"
 #include "sim/config.hh"
+#include "trace/trace_cache.hh"
 
 namespace ap
 {
@@ -54,8 +57,6 @@ struct BenchOptions
     bool seedSet = false;
     PageSize pageSize = PageSize::Size4K;
     bool pageSizeSet = false;
-    bool traceCache = true;
-    bool snapshotCache = true;
     unsigned vcpus = 1;
     TlbCoherence tlbCoherence = TlbCoherence::Software;
     std::string snapshotDir;
@@ -75,8 +76,7 @@ struct BenchOptions
     {
         return "[ops] [--ops N] [--jobs N] [--seed N]"
                " [--page-size 4K|2M] [--vcpus N]"
-               " [--tlb-coherence sw|hw] [--no-trace-cache]"
-               " [--no-snapshot-cache]"
+               " [--tlb-coherence sw|hw]"
                " [--snapshot-dir DIR] [--snapshot-pool-mb N]";
     }
 
@@ -142,10 +142,6 @@ struct BenchOptions
                           << "' (want sw or hw)\n";
                 std::exit(2);
             }
-        } else if (!std::strcmp(arg, "--no-trace-cache")) {
-            traceCache = false;
-        } else if (!std::strcmp(arg, "--no-snapshot-cache")) {
-            snapshotCache = false;
         } else if (!std::strcmp(arg, "--snapshot-dir")) {
             snapshotDir = value("--snapshot-dir");
         } else if (!std::strcmp(arg, "--snapshot-pool-mb")) {
@@ -175,6 +171,20 @@ struct BenchOptions
         std::exit(2);
     }
 };
+
+/** The cache-reuse footer of the sweep benches. */
+inline void
+printCacheSummary(const TraceCache &traces, const SnapshotCache &snaps)
+{
+    std::printf("[trace cache: %llu recorded, %llu replayed; "
+                "snapshots: %llu captured, %llu forked, %llu from "
+                "disk]\n",
+                (unsigned long long)traces.records(),
+                (unsigned long long)traces.replays(),
+                (unsigned long long)snaps.captures(),
+                (unsigned long long)snaps.forks(),
+                (unsigned long long)snaps.diskLoads());
+}
 
 } // namespace ap
 

@@ -42,10 +42,6 @@ main(int argc, char **argv)
             spec.mode = mode;
             spec.operations = opt.ops;
             spec.pageSize = opt.pageSize;
-            if (!opt.traceCache)
-                return ap::runExperiment(spec);
-            if (!opt.snapshotCache)
-                return ap::runExperimentCached(traces, spec);
             return ap::runExperimentSnapshotted(traces, snaps, spec);
         };
         ap::RunResult shadow = run(ap::VirtMode::Shadow);

@@ -49,13 +49,8 @@ main(int argc, char **argv)
     // persists each cell's warm image under --snapshot-dir.
     ap::TraceCache cache;
     ap::SnapshotCache snaps(opt.snapshotDir);
-    ap::CellFn cell;
-    if (opt.traceCache && opt.snapshotCache)
-        cell = ap::snapshotCellFn(cache, snaps);
-    else if (opt.traceCache)
-        cell = ap::cachedCellFn(cache);
-    std::vector<ap::RunResult> runs =
-        ap::runExperiments(specs, opt.jobs, cell);
+    std::vector<ap::RunResult> runs = ap::runExperiments(
+        specs, opt.jobs, ap::snapshotCellFn(cache, snaps));
 
     std::printf("SHSP vs agile paging (4K pages)\n\n");
     std::printf("%-11s %8s %8s %8s %8s %8s   %s\n", "workload", "nested",

@@ -48,20 +48,12 @@ main(int argc, char **argv)
         // Table VI: "assuming no page walk caches".
         cfg.pwcEnabled = false;
         cfg.ntlbEnabled = false;
-        if (opt.traceCache && opt.snapshotCache) {
-            // One cell per workload here, so in-process this records
-            // rather than replays — but with --snapshot-dir a repeat
-            // invocation forks every cell from its persisted warm
-            // image, and results stay bit-identical either way.
-            runs.push_back(
-                ap::runCellSnapshotted(cache, snaps, wl, params, cfg));
-        } else if (opt.traceCache) {
-            runs.push_back(ap::runCellCached(cache, wl, params, cfg));
-        } else {
-            ap::Machine machine(cfg);
-            auto workload = ap::makeWorkload(wl, params);
-            runs.push_back(machine.run(*workload));
-        }
+        // One cell per workload here, so in-process this records
+        // rather than replays — but with --snapshot-dir a repeat
+        // invocation forks every cell from its persisted warm image,
+        // and results stay bit-identical either way.
+        runs.push_back(
+            ap::runCellSnapshotted(cache, snaps, wl, params, cfg));
         std::cerr << "." << std::flush;
     }
     std::cerr << "\n";

@@ -74,7 +74,11 @@ int
 main(int argc, char **argv)
 {
     ap::setQuietLogging(true);
-    std::uint64_t ops = argc > 1 ? std::stoull(argv[1]) : 500'000;
+    std::uint64_t ops = 500'000;
+    if (argc > 1 && !ap::parseU64(argv[1], ops)) {
+        std::fprintf(stderr, "usage: %s [ops]\n", argv[0]);
+        return 2;
+    }
 
     std::printf("consolidated VM: graph500 + memcached, round-robin "
                 "(%lu ops each)\n\n",

@@ -8,18 +8,17 @@
  * All sweep cells are independent machines, so they fan out across
  * worker threads; jobs=0 uses every hardware thread. Every cell
  * replays one shared recorded trace (the policy knobs never change
- * the operation stream); --no-trace-cache re-generates each cell.
- * Cells that share a full config (the baseline point appears in all
- * three sweeps) additionally fork one warm machine image instead of
- * re-running warmup; --snapshot-dir persists those images across
- * invocations and --no-snapshot-cache disables the forking.
+ * the operation stream). Cells that share a full config (the baseline
+ * point appears in all three sweeps) additionally fork one warm
+ * machine image instead of re-running warmup; --snapshot-dir persists
+ * those images across invocations.
  *
- *   ./policy_explorer [workload] [ops] [jobs] [--no-trace-cache]
- *                     [--no-snapshot-cache] [--snapshot-dir DIR]
+ *   ./policy_explorer [workload] [ops] [jobs] [--snapshot-dir DIR]
  */
 
 #include <cstdio>
 #include <cstring>
+#include <iostream>
 #include <string>
 #include <vector>
 
@@ -44,7 +43,7 @@ struct PolicyCell
 
 double
 run(const std::string &wl, std::uint64_t ops, const PolicyCell &cell,
-    TraceCache *cache, SnapshotCache *snaps)
+    TraceCache &cache, SnapshotCache &snaps)
 {
     WorkloadParams params = defaultParamsFor(wl);
     params.operations = ops;
@@ -53,15 +52,16 @@ run(const std::string &wl, std::uint64_t ops, const PolicyCell &cell,
     cfg.policy.writeThreshold = cell.threshold;
     cfg.policy.backPolicy = cell.back;
     cfg.policy.promoteAfterCleanIntervals = cell.hysteresis;
-    if (cache && snaps) {
-        return runCellSnapshotted(*cache, *snaps, wl, params, cfg)
-            .totalOverhead();
-    }
-    if (cache)
-        return runCellCached(*cache, wl, params, cfg).totalOverhead();
-    Machine machine(cfg);
-    auto w = makeWorkload(wl, params);
-    return machine.run(*w).totalOverhead();
+    return runCellSnapshotted(cache, snaps, wl, params, cfg)
+        .totalOverhead();
+}
+
+int
+usage(const char *argv0)
+{
+    std::cerr << "usage: " << argv0
+              << " [workload] [ops] [jobs] [--snapshot-dir DIR]\n";
+    return 2;
 }
 
 } // namespace
@@ -70,24 +70,22 @@ int
 main(int argc, char **argv)
 {
     ap::setQuietLogging(true);
-    bool use_cache = true;
-    bool use_snaps = true;
     std::string snapshot_dir;
     std::vector<const char *> pos;
     for (int i = 1; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--no-trace-cache"))
-            use_cache = false;
-        else if (!std::strcmp(argv[i], "--no-snapshot-cache"))
-            use_snaps = false;
-        else if (!std::strcmp(argv[i], "--snapshot-dir") && i + 1 < argc)
+        if (!std::strcmp(argv[i], "--snapshot-dir") && i + 1 < argc)
             snapshot_dir = argv[++i];
+        else if (argv[i][0] == '-' || pos.size() == 3)
+            return usage(argv[0]);
         else
             pos.push_back(argv[i]);
     }
     std::string wl = pos.size() > 0 ? pos[0] : "dedup";
-    std::uint64_t ops = pos.size() > 1 ? std::stoull(pos[1]) : 600'000;
-    unsigned jobs =
-        pos.size() > 2 ? static_cast<unsigned>(std::stoul(pos[2])) : 1;
+    std::uint64_t ops = 600'000;
+    std::uint64_t jobs = 1;
+    if ((pos.size() > 1 && !ap::parseU64(pos[1], ops)) ||
+        (pos.size() > 2 && !ap::parseU64(pos[2], jobs)))
+        return usage(argv[0]);
 
     const ap::Tick intervals[] = {25'000, 50'000, 100'000, 200'000,
                                   400'000};
@@ -119,9 +117,8 @@ main(int argc, char **argv)
     ap::TraceCache cache;
     ap::SnapshotCache snaps(snapshot_dir);
     std::vector<double> overhead = ap::parallelMap(
-        cells.size(), jobs, [&](std::size_t i) {
-            return run(wl, ops, cells[i], use_cache ? &cache : nullptr,
-                       use_cache && use_snaps ? &snaps : nullptr);
+        cells.size(), static_cast<unsigned>(jobs), [&](std::size_t i) {
+            return run(wl, ops, cells[i], cache, snaps);
         });
 
     std::printf("agile policy sweep on %s (%lu ops); cells are total "
@@ -154,14 +151,12 @@ main(int argc, char **argv)
         }
         std::printf("\n");
     }
-    if (use_cache) {
-        std::printf("\n[traces: %llu recorded, %llu replayed; snapshots: "
-                    "%llu captured, %llu forked, %llu from disk]\n",
-                    static_cast<unsigned long long>(cache.records()),
-                    static_cast<unsigned long long>(cache.replays()),
-                    static_cast<unsigned long long>(snaps.captures()),
-                    static_cast<unsigned long long>(snaps.forks()),
-                    static_cast<unsigned long long>(snaps.diskLoads()));
-    }
+    std::printf("\n[traces: %llu recorded, %llu replayed; snapshots: "
+                "%llu captured, %llu forked, %llu from disk]\n",
+                static_cast<unsigned long long>(cache.records()),
+                static_cast<unsigned long long>(cache.replays()),
+                static_cast<unsigned long long>(snaps.captures()),
+                static_cast<unsigned long long>(snaps.forks()),
+                static_cast<unsigned long long>(snaps.diskLoads()));
     return 0;
 }

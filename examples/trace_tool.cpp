@@ -58,8 +58,10 @@ main(int argc, char **argv)
         std::string workload = argv[2];
         std::string path = argv[3];
         ap::WorkloadParams params = ap::defaultParamsFor(workload);
-        if (argc > 4)
-            params.operations = std::stoull(argv[4]);
+        if (argc > 4 && !ap::parseU64(argv[4], params.operations)) {
+            std::cerr << "bad ops value: " << argv[4] << "\n";
+            return 2;
+        }
         ap::SimConfig cfg = ap::configFor(ap::VirtMode::Nested,
                                           ap::PageSize::Size4K, params);
         ap::Machine machine(cfg);

@@ -177,7 +177,9 @@ class Deserializer
         static_assert(std::is_trivially_copyable_v<T>,
                       "getPodVector needs a trivially copyable element");
         std::uint64_t n = getU64();
-        if (!has(n * sizeof(T))) {
+        // Divide rather than multiply: a lying count (say 2^61 u64s)
+        // must not wrap n * sizeof(T) into a small byte count.
+        if (!ok_ || n > remaining() / sizeof(T)) {
             ok_ = false;
             out.clear();
             return;

@@ -149,13 +149,9 @@ ServiceServer::forkWorkers(std::string *err)
                 ::close(workers_[v].request_fd);
                 ::close(workers_[v].result_fd);
             }
-            WorkerOptions wopt;
-            wopt.snapshotPoolBytes = opt_.snapshotPoolBytes;
-            wopt.batched = opt_.batched;
-            wopt.maxIdleMachines = opt_.maxIdleMachines;
             // _exit: the child must not run the parent's atexit/static
             // destructors.
-            ::_exit(workerMain(req[0], res[1], wopt));
+            ::_exit(workerMain(req[0], res[1], opt_.snapshotPoolBytes));
         }
         ::close(req[0]);
         ::close(res[1]);

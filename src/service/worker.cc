@@ -5,6 +5,7 @@
 
 #include "service/worker.hh"
 
+#include <cstddef>
 #include <exception>
 
 #include "service/wire.hh"
@@ -17,13 +18,26 @@ namespace ap
 namespace service
 {
 
+namespace
+{
+
+/**
+ * Most idle machines a worker's MachinePool keeps parked. Half the
+ * in-process default: a fleet runs one pool per worker process, so
+ * this bounds the fleet's parked-machine memory.
+ */
+constexpr std::size_t kWorkerIdleMachines = 8;
+
+} // namespace
+
 int
-workerMain(int request_fd, int result_fd, const WorkerOptions &opt)
+workerMain(int request_fd, int result_fd,
+           std::uint64_t snapshot_pool_bytes)
 {
     TraceCache traces;
     SnapshotCache snaps;
-    snaps.setByteBudget(opt.snapshotPoolBytes);
-    MachinePool pool(opt.maxIdleMachines);
+    snaps.setByteBudget(snapshot_pool_bytes);
+    MachinePool pool(kWorkerIdleMachines);
 
     for (;;) {
         Frame frame;
@@ -49,8 +63,8 @@ workerMain(int request_fd, int result_fd, const WorkerOptions &opt)
             res.batch = req.batch;
             res.cell = req.cell;
             try {
-                res.run = runExperimentSnapshotted(
-                    traces, snaps, req.spec, opt.batched, &pool);
+                res.run = runExperimentSnapshotted(traces, snaps,
+                                                   req.spec, true, &pool);
                 res.ok = true;
             } catch (const std::exception &e) {
                 res.ok = false;

@@ -21,19 +21,11 @@ namespace ap
 namespace service
 {
 
-struct WorkerOptions
-{
-    /** SnapshotCache byte budget (0 = unlimited). */
-    std::uint64_t snapshotPoolBytes = 0;
-    /** Batched replay (the fast path; false only for A/B debugging). */
-    bool batched = true;
-    /** Most idle machines the MachinePool keeps parked. */
-    std::size_t maxIdleMachines = 8;
-};
-
 /**
  * Run the worker loop on @p request_fd / @p result_fd until a
- * Shutdown frame or EOF on the request pipe.
+ * Shutdown frame or EOF on the request pipe. Every cell runs batched
+ * through the snapshotted cell path.
+ * @param snapshot_pool_bytes SnapshotCache byte budget (0 = unlimited)
  * @return process exit code (0 on clean shutdown).
  *
  * Cell failures that surface as exceptions become ok=false
@@ -42,7 +34,8 @@ struct WorkerOptions
  * process — the dispatcher treats that as a crash and retries the
  * in-flight cell on a sibling.
  */
-int workerMain(int request_fd, int result_fd, const WorkerOptions &opt);
+int workerMain(int request_fd, int result_fd,
+               std::uint64_t snapshot_pool_bytes);
 
 } // namespace service
 } // namespace ap

@@ -60,136 +60,80 @@ TraceCache::replays() const
     return replays_;
 }
 
-RunResult
-runCellCached(TraceCache &cache, const std::string &workload_name,
-              const WorkloadParams &params, const SimConfig &cfg,
-              bool batched)
+namespace
+{
+
+/**
+ * The record step shared by every runner: return the compiled trace
+ * of this cell's operation stream, recording it on a fresh machine if
+ * this call is the first for its key. A recording run is a complete
+ * measured run of this very cell, so the winner also gets its result
+ * in @p recorded and needs no replay.
+ * @param workload the caller's instance, or nullptr to build @p name
+ *        from the workload registry
+ */
+TraceCache::TracePtr
+obtainTrace(TraceCache &traces, const std::string &name,
+            const WorkloadParams &params, const SimConfig &cfg,
+            Workload *workload, std::optional<RunResult> &recorded)
 {
     TraceCacheKey key;
-    key.workload = workload_name;
+    key.workload = name;
     key.pageSize = cfg.pageSize;
     key.operations = params.operations;
     key.seed = params.seed;
     key.footprintBytes = params.footprintBytes;
     key.warmupFraction = cfg.warmupFraction;
-
-    // Set only if this call won the recording race: the recording run
-    // is a complete measured run of this very cell, so its result is
-    // the answer and a replay would be redundant.
-    std::optional<RunResult> recorded;
-    TraceCache::TracePtr compiled = cache.obtain(key, [&] {
-        auto workload = makeWorkload(workload_name, params);
-        ap_assert(workload != nullptr, "unknown workload ",
-                  workload_name);
+    return traces.obtain(key, [&] {
+        std::unique_ptr<Workload> owned;
+        if (!workload) {
+            owned = makeWorkload(name, params);
+            ap_assert(owned != nullptr, "unknown workload ", name);
+            workload = owned.get();
+        }
         Machine machine(cfg);
         RecordedRun rec = recordRun(machine, *workload);
         recorded = rec.result;
+        rec.trace.workload = name;
         auto t = std::make_shared<const CompiledTrace>(
             compileTrace(rec.trace));
         recycleTrace(std::move(rec.trace));
         return t;
     });
-    if (recorded)
-        return *recorded;
-
-    Machine machine(cfg);
-    BatchReplayWorkload replay(compiled, batched);
-    RunResult r = machine.run(replay);
-    // The replay runs under the cell's own config; only the reporting
-    // name ("replay:<wl>") needs restoring for matrix consumers.
-    r.workload = compiled->workload;
-    return r;
 }
 
+/** Restore @p snap into @p machine, position the replay at the
+ *  boundary and run the measured region. */
 RunResult
-runExperimentCached(TraceCache &cache, const ExperimentSpec &spec,
-                    bool batched)
-{
-    WorkloadParams params = defaultParamsFor(spec.workload);
-    if (spec.operations)
-        params.operations = spec.operations;
-    SimConfig cfg =
-        configFor(spec.mode, spec.pageSize, params, spec.hwOpts);
-    cfg.numVcpus = spec.numVcpus;
-    cfg.tlbCoherence = spec.tlbCoherence;
-    return runCellCached(cache, spec.workload, params, cfg, batched);
-}
-
-CellFn
-cachedCellFn(TraceCache &cache, bool batched)
-{
-    return [&cache, batched](const ExperimentSpec &spec) {
-        return runExperimentCached(cache, spec, batched);
-    };
-}
-
-namespace
-{
-
-/**
- * The fork half of the snapshotted runners: restore @p snap into a
- * machine — leased from @p pool when one is given, freshly
- * constructed otherwise — position the replay at the boundary, and
- * run the measured region.
- */
-RunResult
-runForked(const SimConfig &cfg, const SnapshotPtr &snap,
+runForked(Machine &machine, const MachineSnapshot &snap,
           const TraceCache::TracePtr &compiled, bool batched,
-          MachinePool *pool, const std::string &name)
+          const std::string &name)
 {
-    if (pool) {
-        MachinePool::Lease lease = pool->acquire(cfg);
-        bool ok = restoreSnapshot(*snap, *lease);
-        ap_assert(ok, "snapshot restore failed for ", name);
-        BatchReplayWorkload replay(compiled, batched);
-        replay.resumeAtBoundary(*lease);
-        return lease->runMeasured(replay);
-    }
-    Machine machine(cfg);
-    bool ok = restoreSnapshot(*snap, machine);
+    bool ok = restoreSnapshot(snap, machine);
     ap_assert(ok, "snapshot restore failed for ", name);
     BatchReplayWorkload replay(compiled, batched);
     replay.resumeAtBoundary(machine);
     return machine.runMeasured(replay);
 }
 
-} // namespace
-
+/** The core of every snapshotted runner; see runWorkloadSnapshotted
+ *  for @p workload. */
 RunResult
-runCellSnapshotted(TraceCache &traces, SnapshotCache &snaps,
-                   const std::string &workload_name,
-                   const WorkloadParams &params, const SimConfig &cfg,
-                   bool batched, MachinePool *pool)
+runSnapshotted(TraceCache &traces, SnapshotCache &snaps,
+               const std::string &name, const WorkloadParams &params,
+               const SimConfig &cfg, Workload *workload, bool batched,
+               MachinePool *pool)
 {
-    TraceCacheKey tkey;
-    tkey.workload = workload_name;
-    tkey.pageSize = cfg.pageSize;
-    tkey.operations = params.operations;
-    tkey.seed = params.seed;
-    tkey.footprintBytes = params.footprintBytes;
-    tkey.warmupFraction = cfg.warmupFraction;
-
     std::optional<RunResult> recorded;
-    TraceCache::TracePtr compiled = traces.obtain(tkey, [&] {
-        auto workload = makeWorkload(workload_name, params);
-        ap_assert(workload != nullptr, "unknown workload ",
-                  workload_name);
-        Machine machine(cfg);
-        RecordedRun rec = recordRun(machine, *workload);
-        recorded = rec.result;
-        auto t = std::make_shared<const CompiledTrace>(
-            compileTrace(rec.trace));
-        recycleTrace(std::move(rec.trace));
-        return t;
-    });
-    // The recording run was a complete measured run of this cell; its
-    // result stands and it already paid for warmup, so the snapshot
+    TraceCache::TracePtr compiled =
+        obtainTrace(traces, name, params, cfg, workload, recorded);
+    // The recording run already paid for warmup, so the snapshot
     // cache is left for the next cell of this config to seed.
     if (recorded)
         return *recorded;
 
     SnapshotKey skey;
-    skey.workload = workload_name;
+    skey.workload = name;
     skey.operations = params.operations;
     skey.seed = params.seed;
     skey.footprintBytes = params.footprintBytes;
@@ -212,60 +156,77 @@ runCellSnapshotted(TraceCache &traces, SnapshotCache &snaps,
     RunResult r;
     if (warm) {
         r = warm->runMeasured(*warm_replay);
+    } else if (pool) {
+        MachinePool::Lease lease = pool->acquire(cfg);
+        r = runForked(*lease, *snap, compiled, batched, name);
     } else {
-        r = runForked(cfg, snap, compiled, batched, pool,
-                      workload_name);
+        Machine machine(cfg);
+        r = runForked(machine, *snap, compiled, batched, name);
     }
     r.workload = compiled->workload;
     return r;
 }
 
-namespace
+/** The parameters and config runExperiment derives from @p spec. */
+WorkloadParams
+specParams(const ExperimentSpec &spec)
 {
+    WorkloadParams params = defaultParamsFor(spec.workload);
+    if (spec.operations)
+        params.operations = spec.operations;
+    return params;
+}
 
-/** Shared trace-cache front half of the runWorkload* entry points. */
-TraceCache::TracePtr
-obtainWorkloadTrace(TraceCache &traces, const std::string &cache_name,
-                    Workload &workload, const SimConfig &cfg,
-                    std::optional<RunResult> &recorded)
+SimConfig
+specConfig(const ExperimentSpec &spec, const WorkloadParams &params)
 {
-    const WorkloadParams &params = workload.params();
-    TraceCacheKey tkey;
-    tkey.workload = cache_name;
-    tkey.pageSize = cfg.pageSize;
-    tkey.operations = params.operations;
-    tkey.seed = params.seed;
-    tkey.footprintBytes = params.footprintBytes;
-    tkey.warmupFraction = cfg.warmupFraction;
-    return traces.obtain(tkey, [&] {
-        Machine machine(cfg);
-        RecordedRun rec = recordRun(machine, workload);
-        recorded = rec.result;
-        rec.trace.workload = cache_name;
-        auto t = std::make_shared<const CompiledTrace>(
-            compileTrace(rec.trace));
-        recycleTrace(std::move(rec.trace));
-        return t;
-    });
+    SimConfig cfg =
+        configFor(spec.mode, spec.pageSize, params, spec.hwOpts);
+    cfg.numVcpus = spec.numVcpus;
+    cfg.tlbCoherence = spec.tlbCoherence;
+    return cfg;
 }
 
 } // namespace
 
 RunResult
-runWorkloadCached(TraceCache &traces, const std::string &cache_name,
-                  Workload &workload, const SimConfig &cfg, bool batched)
+runCellCached(TraceCache &cache, const std::string &workload_name,
+              const WorkloadParams &params, const SimConfig &cfg,
+              bool batched)
 {
     std::optional<RunResult> recorded;
-    TraceCache::TracePtr compiled =
-        obtainWorkloadTrace(traces, cache_name, workload, cfg, recorded);
+    TraceCache::TracePtr compiled = obtainTrace(
+        cache, workload_name, params, cfg, nullptr, recorded);
     if (recorded)
         return *recorded;
 
     Machine machine(cfg);
     BatchReplayWorkload replay(compiled, batched);
     RunResult r = machine.run(replay);
+    // The replay runs under the cell's own config; only the reporting
+    // name ("replay:<wl>") needs restoring for matrix consumers.
     r.workload = compiled->workload;
     return r;
+}
+
+CellFn
+cachedCellFn(TraceCache &cache, bool batched)
+{
+    return [&cache, batched](const ExperimentSpec &spec) {
+        WorkloadParams params = specParams(spec);
+        return runCellCached(cache, spec.workload, params,
+                             specConfig(spec, params), batched);
+    };
+}
+
+RunResult
+runCellSnapshotted(TraceCache &traces, SnapshotCache &snaps,
+                   const std::string &workload_name,
+                   const WorkloadParams &params, const SimConfig &cfg,
+                   bool batched, MachinePool *pool)
+{
+    return runSnapshotted(traces, snaps, workload_name, params, cfg,
+                          nullptr, batched, pool);
 }
 
 RunResult
@@ -274,38 +235,8 @@ runWorkloadSnapshotted(TraceCache &traces, SnapshotCache &snaps,
                        const SimConfig &cfg, bool batched,
                        MachinePool *pool)
 {
-    const WorkloadParams &params = workload.params();
-    std::optional<RunResult> recorded;
-    TraceCache::TracePtr compiled =
-        obtainWorkloadTrace(traces, cache_name, workload, cfg, recorded);
-    if (recorded)
-        return *recorded;
-
-    SnapshotKey skey;
-    skey.workload = cache_name;
-    skey.operations = params.operations;
-    skey.seed = params.seed;
-    skey.footprintBytes = params.footprintBytes;
-    skey.configDigest = simConfigDigest(cfg);
-
-    std::unique_ptr<Machine> warm;
-    std::unique_ptr<BatchReplayWorkload> warm_replay;
-    SnapshotPtr snap = snaps.obtain(skey, [&] {
-        warm = std::make_unique<Machine>(cfg);
-        warm_replay =
-            std::make_unique<BatchReplayWorkload>(compiled, batched);
-        warm->runWarmup(*warm_replay);
-        return captureSnapshot(*warm);
-    });
-
-    RunResult r;
-    if (warm) {
-        r = warm->runMeasured(*warm_replay);
-    } else {
-        r = runForked(cfg, snap, compiled, batched, pool, cache_name);
-    }
-    r.workload = compiled->workload;
-    return r;
+    return runSnapshotted(traces, snaps, cache_name, workload.params(),
+                          cfg, &workload, batched, pool);
 }
 
 RunResult
@@ -313,15 +244,9 @@ runExperimentSnapshotted(TraceCache &traces, SnapshotCache &snaps,
                          const ExperimentSpec &spec, bool batched,
                          MachinePool *pool)
 {
-    WorkloadParams params = defaultParamsFor(spec.workload);
-    if (spec.operations)
-        params.operations = spec.operations;
-    SimConfig cfg =
-        configFor(spec.mode, spec.pageSize, params, spec.hwOpts);
-    cfg.numVcpus = spec.numVcpus;
-    cfg.tlbCoherence = spec.tlbCoherence;
-    return runCellSnapshotted(traces, snaps, spec.workload, params, cfg,
-                              batched, pool);
+    WorkloadParams params = specParams(spec);
+    return runCellSnapshotted(traces, snaps, spec.workload, params,
+                              specConfig(spec, params), batched, pool);
 }
 
 CellFn

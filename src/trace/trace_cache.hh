@@ -109,10 +109,12 @@ class TraceCache
 };
 
 /**
- * Run one cell through the cache: the first cell per key records (and
- * returns its own fresh-run result — no replay cost), later cells
- * replay the shared trace on their own Machine. Results are
- * bit-identical to runExperiment for every cell.
+ * Run one cell through the trace cache only: the first cell per key
+ * records (and returns its own fresh-run result — no replay cost),
+ * later cells replay the shared trace on their own Machine from
+ * scratch. Results are bit-identical to runExperiment for every cell.
+ * The matrix drivers use the snapshotted runners below; this layer
+ * stays so bench_throughput can measure what snapshots add on top.
  * @param batched false = per-event replay (A/B verification)
  */
 RunResult runCellCached(TraceCache &cache,
@@ -120,14 +122,9 @@ RunResult runCellCached(TraceCache &cache,
                         const WorkloadParams &params,
                         const SimConfig &cfg, bool batched = true);
 
-/** runExperiment, but through the cache. */
-RunResult runExperimentCached(TraceCache &cache,
-                              const ExperimentSpec &spec,
-                              bool batched = true);
-
 /**
  * A CellFn for runExperiments/runFigure5Matrix that routes every cell
- * through @p cache. The cache must outlive the returned function.
+ * through runCellCached. The cache must outlive the returned function.
  */
 CellFn cachedCellFn(TraceCache &cache, bool batched = true);
 
@@ -159,22 +156,13 @@ RunResult runExperimentSnapshotted(TraceCache &traces,
                                    MachinePool *pool = nullptr);
 
 /**
- * runCellCached for a caller-supplied workload instance (one the
- * registry cannot build — e.g. a bench-local synthetic workload).
- * @p cache_name keys the cache; see runWorkloadSnapshotted.
- */
-RunResult runWorkloadCached(TraceCache &traces,
-                            const std::string &cache_name,
-                            Workload &workload, const SimConfig &cfg,
-                            bool batched = true);
-
-/**
  * runCellSnapshotted for a caller-supplied workload instance (one the
  * registry cannot build — e.g. a bench-local synthetic workload).
  * @p cache_name keys the caches and must uniquely identify the
  * workload's behavior beyond its params (encode any extra knobs in
  * it). Only the first caller per trace key steps @p workload; later
- * calls replay the recorded stream and ignore it.
+ * calls replay the recorded stream and ignore it. The recording call
+ * reports the workload's own name(), replays report @p cache_name.
  */
 RunResult runWorkloadSnapshotted(TraceCache &traces,
                                  SnapshotCache &snaps,

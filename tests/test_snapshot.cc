@@ -19,8 +19,10 @@
 #include <thread>
 #include <vector>
 
+#include "base/serialize.hh"
 #include "sim/experiment.hh"
 #include "sim/machine.hh"
+#include "sim/machine_pool.hh"
 #include "sim/snapshot.hh"
 #include "trace/trace_cache.hh"
 #include "workloads/workload.hh"
@@ -154,6 +156,106 @@ TEST(SnapshotEquivalence, ForkedRunsMatchRecordedRun)
             EXPECT_EQ(snaps.captures(), 1u);
             EXPECT_EQ(snaps.forks(), 2u);
         }
+    }
+}
+
+/**
+ * A bench-style synthetic workload the registry cannot build:
+ * hot-set accesses over the whole arena plus occasional reclaim scans
+ * (the page-table writes that make shadow and agile differ).
+ */
+class SynthWorkload : public Workload
+{
+  public:
+    explicit SynthWorkload(const WorkloadParams &params)
+        : Workload(params)
+    {
+    }
+
+    std::string name() const override { return "synth"; }
+
+    void
+    init(WorkloadHost &host) override
+    {
+        arena_ = host.mmap(params_.footprintBytes, true, false, 0);
+    }
+
+    void
+    warmup(WorkloadHost &host) override
+    {
+        touchAll(host, arena_, params_.footprintBytes, true);
+    }
+
+    bool
+    step(WorkloadHost &host) override
+    {
+        Rng &rng = host.rng();
+        if (rng.chance(1e-3))
+            host.reclaimTick(256);
+        else
+            host.access(arena_ + rng.nextBelow(params_.footprintBytes),
+                        rng.chance(0.3));
+        return ++ops_ < params_.operations;
+    }
+
+    std::uint64_t steps() const { return ops_; }
+
+  private:
+    Addr arena_ = 0;
+    std::uint64_t ops_ = 0;
+};
+
+/**
+ * The caller-supplied-workload entry point through every stage of the
+ * snapshotted core: the first call records (and reports the
+ * workload's own name), the second captures the warm snapshot, and
+ * the last three fork it — onto a fresh machine, onto a pool lease
+ * and onto that same lease's parked machine again. Every run matches
+ * a fresh Machine::run field for field; replays report the cache
+ * name, and only the recording call steps its workload.
+ */
+TEST(SnapshotEquivalence, CallerWorkloadMatchesFreshRun)
+{
+    const WorkloadParams params = smallParams();
+    const std::string cache_name = "synth@1e-3";
+    for (VirtMode mode :
+         {VirtMode::Nested, VirtMode::Shadow, VirtMode::Agile}) {
+        SCOPED_TRACE("mode " + std::to_string(int(mode)));
+        const SimConfig cfg = configFor(mode, PageSize::Size4K, params);
+
+        RunResult fresh;
+        {
+            SynthWorkload w(params);
+            Machine m(cfg);
+            fresh = m.run(w);
+        }
+
+        TraceCache traces;
+        SnapshotCache snaps;
+        MachinePool pool;
+        SynthWorkload recording(params);
+        RunResult recorded = runWorkloadSnapshotted(
+            traces, snaps, cache_name, recording, cfg);
+        expectSameResult(fresh, recorded);
+        EXPECT_EQ(recording.steps(), params.operations);
+
+        for (MachinePool *p :
+             {static_cast<MachinePool *>(nullptr),
+              static_cast<MachinePool *>(nullptr), &pool, &pool}) {
+            SynthWorkload ignored(params);
+            RunResult r = runWorkloadSnapshotted(
+                traces, snaps, cache_name, ignored, cfg, true, p);
+            EXPECT_EQ(ignored.steps(), 0u);
+            EXPECT_EQ(r.workload, cache_name);
+            r.workload = fresh.workload;
+            expectSameResult(fresh, r);
+        }
+        EXPECT_EQ(traces.records(), 1u);
+        EXPECT_EQ(traces.replays(), 4u);
+        EXPECT_EQ(snaps.captures(), 1u);
+        EXPECT_EQ(snaps.forks(), 3u);
+        EXPECT_EQ(pool.creates(), 1u);
+        EXPECT_EQ(pool.reuses(), 1u);
     }
 }
 
@@ -323,6 +425,38 @@ TEST(Snapshot, CorruptAndTruncatedFilesRejected)
     EXPECT_FALSE(restoreSnapshot(garbage, m));
 
     std::remove(path.c_str());
+}
+
+/**
+ * A pod-vector count that lies about the payload must latch failure,
+ * not throw: 2^61 u64s multiply to 0 bytes modulo 2^64, so a
+ * multiplying bounds check passes it and resize() throws
+ * std::length_error.
+ */
+TEST(Snapshot, LyingPodVectorLengthRejected)
+{
+    for (std::uint64_t n :
+         {std::uint64_t{1} << 61, ~std::uint64_t{0}, std::uint64_t{3}}) {
+        SCOPED_TRACE(n);
+        Serializer s;
+        s.putU64(n);
+        s.putU64(7); // room for 2 of the claimed elements, not 3+
+        s.putU64(9);
+        Deserializer in(s.data());
+        std::vector<std::uint64_t> out{1, 2};
+        EXPECT_NO_THROW(in.getPodVector(out));
+        EXPECT_FALSE(in.ok());
+        EXPECT_TRUE(out.empty());
+    }
+
+    // An honest count still reads back.
+    Serializer s;
+    s.putPodVector(std::vector<std::uint64_t>{7, 9});
+    Deserializer in(s.data());
+    std::vector<std::uint64_t> out;
+    in.getPodVector(out);
+    EXPECT_TRUE(in.ok());
+    EXPECT_EQ(out, (std::vector<std::uint64_t>{7, 9}));
 }
 
 TEST(SnapshotCache, FirstWinsConcurrent)
