@@ -44,13 +44,15 @@ int
 main(int argc, char **argv)
 {
     ap::setQuietLogging(true);
-    ap::BenchOptions opt(1'000'000);
+    ap::BenchOptions opt(1'000'000, ap::kSeedFlag | ap::kPageSizeFlag |
+                         ap::kSnapshotDirFlag | ap::kSnapshotPoolFlag);
     for (int i = 1; i < argc; ++i) {
         if (!opt.consume(argc, argv, i))
-            opt.reject(argv, i, "");
+            opt.reject(argv, i);
     }
     ap::TraceCache traces;
     ap::SnapshotCache snaps(opt.snapshotDir);
+    snaps.setByteBudget(opt.snapshotPoolBytes());
 
     std::printf("Hardware-optimization ablation (agile paging, %s)\n\n",
                 opt.pageSize == ap::PageSize::Size2M ? "2M" : "4K");

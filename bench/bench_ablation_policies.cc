@@ -46,13 +46,15 @@ int
 main(int argc, char **argv)
 {
     ap::setQuietLogging(true);
-    ap::BenchOptions opt(1'000'000);
+    ap::BenchOptions opt(1'000'000, ap::kSeedFlag | ap::kPageSizeFlag |
+                         ap::kSnapshotDirFlag | ap::kSnapshotPoolFlag);
     for (int i = 1; i < argc; ++i) {
         if (!opt.consume(argc, argv, i))
-            opt.reject(argv, i, "");
+            opt.reject(argv, i);
     }
     ap::TraceCache traces;
     ap::SnapshotCache snaps(opt.snapshotDir);
+    snaps.setByteBudget(opt.snapshotPoolBytes());
 
     const std::string workloads[] = {"dedup", "gcc", "memcached"};
 

@@ -64,13 +64,15 @@ int
 main(int argc, char **argv)
 {
     ap::setQuietLogging(true);
-    ap::BenchOptions opt(600'000);
+    ap::BenchOptions opt(600'000, ap::kSeedFlag | ap::kPageSizeFlag |
+                         ap::kSnapshotDirFlag | ap::kSnapshotPoolFlag);
     for (int i = 1; i < argc; ++i) {
         if (!opt.consume(argc, argv, i))
-            opt.reject(argv, i, "");
+            opt.reject(argv, i);
     }
     ap::TraceCache traces;
     ap::SnapshotCache snaps(opt.snapshotDir);
+    snaps.setByteBudget(opt.snapshotPoolBytes());
 
     std::printf("MMU-cache ablation: avg walk refs / walk overhead\n\n");
     std::printf("%-11s %-7s  %12s  %12s  %12s  %12s\n", "workload",

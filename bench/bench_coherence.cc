@@ -30,7 +30,9 @@ int
 main(int argc, char **argv)
 {
     ap::setQuietLogging(true);
-    ap::BenchOptions opt(200'000);
+    ap::BenchOptions opt(200'000, ap::kJobsFlag | ap::kPageSizeFlag |
+                         ap::kVcpusFlag | ap::kTlbCoherenceFlag,
+                         "[--workload NAME] [--stats-json PATH]");
     opt.vcpus = 4;
     std::string only;
     std::string stats_json;
@@ -45,7 +47,7 @@ main(int argc, char **argv)
         else if (!std::strcmp(argv[i], "--stats-json") && i + 1 < argc)
             stats_json = argv[++i];
         else
-            opt.reject(argv, i, "[--workload NAME] [--stats-json PATH]");
+            opt.reject(argv, i);
     }
 
     const std::vector<std::string> workloads = {

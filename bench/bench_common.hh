@@ -3,10 +3,12 @@
  * Shared command-line handling and cache-reuse footer for the bench
  * drivers.
  *
- * Every bench accepts the same core knobs — operation count, worker
- * threads, seed, page size, vCPUs and the snapshot directory —
- * parsed here once instead of fourteen times. Benches keep their own
- * loop for bench-specific flags and call BenchOptions::consume() for
+ * The core knobs — operation count, worker threads, seed, page size,
+ * vCPUs, TLB coherence and the snapshot directory and budget — are
+ * parsed here once instead of fourteen times. Each bench names the
+ * ones it honors (BenchFlag); consume() rejects the others with exit
+ * 2 instead of silently ignoring them. Benches keep their own loop for
+ * bench-specific flags and call BenchOptions::consume() for
  * everything else; a bare integer argument is accepted as the
  * operation count for backward compatibility with the original
  * positional form.
@@ -21,6 +23,7 @@
 #include <cstring>
 #include <iostream>
 #include <string>
+#include <utility>
 
 #include "base/types.hh"
 #include "sim/config.hh"
@@ -46,10 +49,30 @@ benchParsePageSize(const char *s, PageSize &out)
     return false;
 }
 
-/** The core knobs every bench driver shares. */
+/** The shared flags a bench can honor beyond --ops, which all do. */
+enum BenchFlag : unsigned
+{
+    kJobsFlag = 1u << 0,
+    kSeedFlag = 1u << 1,
+    kPageSizeFlag = 1u << 2,
+    kVcpusFlag = 1u << 3,
+    kTlbCoherenceFlag = 1u << 4,
+    kSnapshotDirFlag = 1u << 5,
+    kSnapshotPoolFlag = 1u << 6,
+};
+
+/** The core knobs the bench drivers share. */
 struct BenchOptions
 {
-    explicit BenchOptions(std::uint64_t default_ops) : ops(default_ops) {}
+    /**
+     * @param honored the BenchFlag bits this bench acts on
+     * @param own_usage the bench's own flags for the usage line
+     */
+    BenchOptions(std::uint64_t default_ops, unsigned honored,
+                 const char *own_usage = "")
+        : ops(default_ops), honored_(honored), own_usage_(own_usage)
+    {
+    }
 
     std::uint64_t ops;
     unsigned jobs = 1;
@@ -70,24 +93,41 @@ struct BenchOptions
         return snapshotPoolMb << 20;
     }
 
-    /** The usage fragment for the flags consume() understands. */
-    static const char *
-    usage()
+    /** The usage line: the shared flags this bench honors, then its
+     *  own. */
+    std::string
+    usage() const
     {
-        return "[ops] [--ops N] [--jobs N] [--seed N]"
-               " [--page-size 4K|2M] [--vcpus N]"
-               " [--tlb-coherence sw|hw]"
-               " [--snapshot-dir DIR] [--snapshot-pool-mb N]";
+        std::string u = "[ops] [--ops N]";
+        for (const auto &[flag, text] :
+             {std::pair{kJobsFlag, " [--jobs N]"},
+              std::pair{kSeedFlag, " [--seed N]"},
+              std::pair{kPageSizeFlag, " [--page-size 4K|2M]"},
+              std::pair{kVcpusFlag, " [--vcpus N]"},
+              std::pair{kTlbCoherenceFlag, " [--tlb-coherence sw|hw]"},
+              std::pair{kSnapshotDirFlag, " [--snapshot-dir DIR]"},
+              std::pair{kSnapshotPoolFlag, " [--snapshot-pool-mb N]"}}) {
+            if (honored_ & flag)
+                u += text;
+        }
+        if (*own_usage_)
+            u += std::string(" ") + own_usage_;
+        return u;
     }
 
     /**
      * Try to consume argv[i] (and its value, advancing @p i). Exits
-     * with usage on a malformed value. @return false if the argument
-     * is not a common flag (the bench's own loop handles it).
+     * with usage on a malformed value or on a shared flag this bench
+     * does not honor. @return false if the argument is not a shared
+     * flag (the bench's own loop handles it).
      */
     bool
     consume(int argc, char **argv, int &i)
     {
+        auto honor = [&](unsigned flag) {
+            if (!(honored_ & flag))
+                reject(argv, i);
+        };
         auto value = [&](const char *flag) -> const char * {
             if (i + 1 >= argc) {
                 std::cerr << argv[0] << ": " << flag
@@ -110,11 +150,14 @@ struct BenchOptions
         if (!std::strcmp(arg, "--ops")) {
             ops = u64("--ops");
         } else if (!std::strcmp(arg, "--jobs")) {
+            honor(kJobsFlag);
             jobs = static_cast<unsigned>(u64("--jobs"));
         } else if (!std::strcmp(arg, "--seed")) {
+            honor(kSeedFlag);
             seed = u64("--seed");
             seedSet = true;
         } else if (!std::strcmp(arg, "--page-size")) {
+            honor(kPageSizeFlag);
             const char *s = value("--page-size");
             if (!benchParsePageSize(s, pageSize)) {
                 std::cerr << argv[0] << ": bad --page-size '" << s
@@ -123,6 +166,7 @@ struct BenchOptions
             }
             pageSizeSet = true;
         } else if (!std::strcmp(arg, "--vcpus")) {
+            honor(kVcpusFlag);
             std::uint64_t v = u64("--vcpus");
             if (v < 1 || v > 64) {
                 std::cerr << argv[0] << ": bad --vcpus value '" << v
@@ -131,6 +175,7 @@ struct BenchOptions
             }
             vcpus = static_cast<unsigned>(v);
         } else if (!std::strcmp(arg, "--tlb-coherence")) {
+            honor(kTlbCoherenceFlag);
             const char *s = value("--tlb-coherence");
             if (!std::strcmp(s, "sw") || !std::strcmp(s, "software")) {
                 tlbCoherence = TlbCoherence::Software;
@@ -143,8 +188,10 @@ struct BenchOptions
                 std::exit(2);
             }
         } else if (!std::strcmp(arg, "--snapshot-dir")) {
+            honor(kSnapshotDirFlag);
             snapshotDir = value("--snapshot-dir");
         } else if (!std::strcmp(arg, "--snapshot-pool-mb")) {
+            honor(kSnapshotPoolFlag);
             snapshotPoolMb = u64("--snapshot-pool-mb");
         } else if (arg[0] != '-') {
             // Legacy positional operation count.
@@ -158,18 +205,19 @@ struct BenchOptions
         return true;
     }
 
-    /** Report an unrecognized argument and exit. @p extra lists the
-     *  bench's own flags for the usage line ("" if none). */
+    /** Report an argument this bench does not take, with usage, and
+     *  exit 2. */
     [[noreturn]] void
-    reject(char **argv, int i, const char *extra) const
+    reject(char **argv, int i) const
     {
-        std::cerr << "unknown argument '" << argv[i] << "'\n"
-                  << "usage: " << argv[0] << " " << usage();
-        if (extra && *extra)
-            std::cerr << " " << extra;
-        std::cerr << "\n";
+        std::cerr << "unsupported argument '" << argv[i] << "'\n"
+                  << "usage: " << argv[0] << " " << usage() << "\n";
         std::exit(2);
     }
+
+  private:
+    unsigned honored_;
+    const char *own_usage_;
 };
 
 /** The cache-reuse footer of the sweep benches. */

@@ -36,7 +36,11 @@ int
 main(int argc, char **argv)
 {
     ap::setQuietLogging(true);
-    ap::BenchOptions opt(0);
+    ap::BenchOptions opt(0, ap::kJobsFlag | ap::kPageSizeFlag |
+                         ap::kVcpusFlag | ap::kTlbCoherenceFlag |
+                         ap::kSnapshotDirFlag | ap::kSnapshotPoolFlag,
+                         "[--csv] [--workload NAME] [--stats-json PATH] "
+                         "[--range]");
     bool csv = false;
     bool with_range = false;
     std::string only;
@@ -53,9 +57,7 @@ main(int argc, char **argv)
         else if (!std::strcmp(argv[i], "--stats-json") && i + 1 < argc)
             stats_json = argv[++i];
         else
-            opt.reject(argv, i,
-                       "[--csv] [--workload NAME] [--stats-json PATH] "
-                       "[--range]");
+            opt.reject(argv, i);
     }
 
     std::vector<ap::ExperimentSpec> specs =
@@ -68,6 +70,10 @@ main(int argc, char **argv)
         std::erase_if(specs, [&](const ap::ExperimentSpec &s) {
             return s.workload != only;
         });
+        if (specs.empty()) {
+            std::cerr << "unknown --workload '" << only << "'\n";
+            return 2;
+        }
     }
     if (opt.pageSizeSet) {
         std::erase_if(specs, [&](const ap::ExperimentSpec &s) {
@@ -76,6 +82,7 @@ main(int argc, char **argv)
     }
     ap::TraceCache cache;
     ap::SnapshotCache snaps(opt.snapshotDir);
+    snaps.setByteBudget(opt.snapshotPoolBytes());
     std::vector<ap::RunResult> runs = ap::runExperiments(
         specs, opt.jobs, ap::snapshotCellFn(cache, snaps));
 

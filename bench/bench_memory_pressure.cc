@@ -103,14 +103,16 @@ int
 main(int argc, char **argv)
 {
     ap::setQuietLogging(true);
-    ap::BenchOptions opt(500'000);
+    ap::BenchOptions opt(500'000, ap::kSeedFlag | ap::kSnapshotDirFlag |
+                         ap::kSnapshotPoolFlag);
     for (int i = 1; i < argc; ++i) {
         if (!opt.consume(argc, argv, i))
-            opt.reject(argv, i, "");
+            opt.reject(argv, i);
     }
 
     ap::TraceCache traces;
     ap::SnapshotCache snaps(opt.snapshotDir);
+    snaps.setByteBudget(opt.snapshotPoolBytes());
 
     std::printf("Memory-pressure sweep (Section V): VMM overhead vs "
                 "reclaim-scan rate\n\n");

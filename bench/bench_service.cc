@@ -79,7 +79,9 @@ int
 main(int argc, char **argv)
 {
     ap::setQuietLogging(true);
-    ap::BenchOptions opt(500'000);
+    ap::BenchOptions opt(500'000, ap::kVcpusFlag | ap::kTlbCoherenceFlag |
+                         ap::kSnapshotPoolFlag,
+                         "[--json PATH] [--require-scale]");
     bool require_scale = false;
     std::string json_path = "BENCH_service.json";
     for (int i = 1; i < argc; ++i) {
@@ -90,7 +92,7 @@ main(int argc, char **argv)
         else if (!std::strcmp(argv[i], "--require-scale"))
             require_scale = true;
         else
-            opt.reject(argv, i, "[--json PATH] [--require-scale]");
+            opt.reject(argv, i);
     }
 
     std::vector<ap::ExperimentSpec> specs = ap::figure5Specs(opt.ops);
@@ -118,7 +120,7 @@ main(int argc, char **argv)
         snaps.setByteBudget(opt.snapshotPoolBytes());
         ap::MachinePool pool;
         baseline = ap::runExperiments(
-            specs, 1, ap::snapshotCellFn(traces, snaps, true, &pool));
+            specs, 1, ap::snapshotCellFn(traces, snaps, &pool));
     }
     double baseline_sec = secondsSince(t0);
     std::vector<std::string> expected = renderExpected(baseline);

@@ -22,10 +22,11 @@ int
 main(int argc, char **argv)
 {
     ap::setQuietLogging(true);
-    ap::BenchOptions opt(1'000'000);
+    ap::BenchOptions opt(1'000'000, ap::kJobsFlag | ap::kPageSizeFlag |
+                         ap::kSnapshotDirFlag | ap::kSnapshotPoolFlag);
     for (int i = 1; i < argc; ++i) {
         if (!opt.consume(argc, argv, i))
-            opt.reject(argv, i, "");
+            opt.reject(argv, i);
     }
 
     // One row per workload, four cells per row, all independent.
@@ -49,10 +50,12 @@ main(int argc, char **argv)
     // persists each cell's warm image under --snapshot-dir.
     ap::TraceCache cache;
     ap::SnapshotCache snaps(opt.snapshotDir);
+    snaps.setByteBudget(opt.snapshotPoolBytes());
     std::vector<ap::RunResult> runs = ap::runExperiments(
         specs, opt.jobs, ap::snapshotCellFn(cache, snaps));
 
-    std::printf("SHSP vs agile paging (4K pages)\n\n");
+    std::printf("SHSP vs agile paging (%s pages)\n\n",
+                ap::pageSizeName(opt.pageSize));
     std::printf("%-11s %8s %8s %8s %8s %8s   %s\n", "workload", "nested",
                 "shadow", "best", "SHSP", "agile", "agile vs SHSP");
     double geo = 1.0;

@@ -89,10 +89,10 @@ int
 main(int argc, char **argv)
 {
     ap::setQuietLogging(true);
-    ap::BenchOptions opt(1'200'000);
+    ap::BenchOptions opt(1'200'000, ap::kSeedFlag | ap::kPageSizeFlag);
     for (int i = 1; i < argc; ++i) {
         if (!opt.consume(argc, argv, i))
-            opt.reject(argv, i, "");
+            opt.reject(argv, i);
     }
     std::printf("Table I: trade-offs of memory virtualization "
                 "techniques (measured)\n\n");

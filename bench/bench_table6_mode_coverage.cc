@@ -23,7 +23,9 @@ int
 main(int argc, char **argv)
 {
     ap::setQuietLogging(true);
-    ap::BenchOptions opt(0);
+    ap::BenchOptions opt(0, ap::kSeedFlag | ap::kPageSizeFlag |
+                         ap::kSnapshotDirFlag | ap::kSnapshotPoolFlag,
+                         "[--stats-json PATH]");
     std::string stats_json;
     for (int i = 1; i < argc; ++i) {
         if (opt.consume(argc, argv, i))
@@ -31,11 +33,12 @@ main(int argc, char **argv)
         if (!std::strcmp(argv[i], "--stats-json") && i + 1 < argc)
             stats_json = argv[++i];
         else
-            opt.reject(argv, i, "[--stats-json PATH]");
+            opt.reject(argv, i);
     }
 
     ap::TraceCache cache;
     ap::SnapshotCache snaps(opt.snapshotDir);
+    snaps.setByteBudget(opt.snapshotPoolBytes());
     std::vector<ap::RunResult> runs;
     for (const std::string &wl : ap::workloadNames()) {
         ap::WorkloadParams params = ap::defaultParamsFor(wl);

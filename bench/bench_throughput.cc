@@ -1,19 +1,24 @@
 /**
  * @file
  * Experiment-engine throughput: runs the Figure 5 matrix several ways —
- * serial cold, parallel cold, parallel with the trace cache replaying
- * per-event, parallel with the batched fast path, and parallel with
- * the snapshot cache forking warm machine images — and reports
- * wall-clock, simulated accesses per second, speedups, and whether
- * every variant is bit-identical to the serial baseline.
- * Machine-readable copy goes to BENCH_throughput.json.
+ * serial cold, parallel cold, and parallel through the snapshotted
+ * cell runner (trace cache + snapshot cache) from fresh caches, from a
+ * warm trace cache, and from warm snapshots with and without a machine
+ * pool — and reports wall-clock, simulated accesses per second,
+ * speedups, and whether every variant is bit-identical to the serial
+ * baseline. Machine-readable copy goes to BENCH_throughput.json.
  *
- * The snapshot rows measure *regeneration*: a first pass warms both
- * caches (recording traces and freezing each cell at its measurement
- * boundary), then a second pass re-runs the matrix. With only the
- * trace cache the second pass replays warmup every time; with the
- * snapshot cache it restores the frozen image and runs just the
- * measured region.
+ * The variants, all at the same job count:
+ *   cold              runExperiments with no cache
+ *   snapshot-fresh    fresh trace and snapshot caches (what every
+ *                     bench main runs): records, captures, replays
+ *   snapshot-capture  warm trace cache, fresh snapshot cache: every
+ *                     cell replays warmup and the measured region and
+ *                     captures its warm image
+ *   snapshot-fork     warm snapshots: cells restore the frozen image
+ *                     and run just the measured region
+ *   snapshot-pooled   snapshot-fork leasing Machine storage from a
+ *                     MachinePool
  *
  * Every variant runs once untimed before its timed run, so the first
  * variant measured no longer pays the process's one-time costs (heap
@@ -24,10 +29,10 @@
  *                         [--require-snapshot-speedup]
  *                         [--require-engine-speedup]
  *        --jobs 0 (default) uses every hardware thread.
- *        --require-cache-speedup exits nonzero unless cached+batched
+ *        --require-cache-speedup exits nonzero unless snapshot-fresh
  *          beats cold generation at the same job count (the CI gate).
  *        --require-snapshot-speedup exits nonzero unless snapshot-fork
- *          regeneration beats trace-replay regeneration.
+ *          beats snapshot-capture (full warmup replay).
  *        --require-engine-speedup exits nonzero unless the cached-fork
  *          path beats cold generation at the same job count by at
  *          least 2.2x (conservative CI floor; see EXPERIMENTS.md for
@@ -109,7 +114,10 @@ main(int argc, char **argv)
     ap::setQuietLogging(true);
     // Matches bench_figure5_overheads' default so the recorded JSON
     // reflects the whole-matrix regeneration the caches accelerate.
-    ap::BenchOptions opt(2'000'000);
+    ap::BenchOptions opt(2'000'000, ap::kJobsFlag | ap::kSnapshotPoolFlag,
+                         "[--json PATH] [--require-cache-speedup] "
+                         "[--require-snapshot-speedup] "
+                         "[--require-engine-speedup]");
     opt.jobs = 0;
     bool require_cache_speedup = false;
     bool require_snapshot_speedup = false;
@@ -127,10 +135,7 @@ main(int argc, char **argv)
         else if (!std::strcmp(argv[i], "--require-engine-speedup"))
             require_engine_speedup = true;
         else
-            opt.reject(argv, i,
-                       "[--json PATH] [--require-cache-speedup]"
-                       " [--require-snapshot-speedup]"
-                       " [--require-engine-speedup]");
+            opt.reject(argv, i);
     }
     unsigned jobs = ap::effectiveJobs(opt.jobs);
     // At jobs=1, or on a single-hardware-thread host, the "parallel"
@@ -162,9 +167,8 @@ main(int argc, char **argv)
         accesses += r.instructions;
 
     Variant cold{"cold"};
-    Variant replay{"cached-replay"};
-    Variant batched{"cached-batched"};
-    Variant regen{"cached-regen"};
+    Variant fresh{"snapshot-fresh"};
+    Variant capture{"snapshot-capture"};
     Variant snapfork{"snapshot-fork"};
     std::uint64_t cache_records = 0, cache_replays = 0;
     std::uint64_t snap_captures = 0, snap_forks = 0;
@@ -179,44 +183,39 @@ main(int argc, char **argv)
         cold.identical = allSame(serial, r);
     }
     {
-        // Fresh cache per variant so each pays its own recording cost;
-        // the warmup pass uses a throwaway cache for the same reason.
+        // Fresh caches per pass so each pays its own recording and
+        // capture cost; the warmup pass uses throwaway caches for the
+        // same reason.
         {
-            ap::TraceCache warm_cache;
+            ap::TraceCache warm_traces;
+            ap::SnapshotCache warm_snaps;
+            warm_snaps.setByteBudget(opt.snapshotPoolBytes());
             ap::runExperiments(
-                specs, jobs,
-                ap::cachedCellFn(warm_cache, /*batched=*/false));
+                specs, jobs, ap::snapshotCellFn(warm_traces, warm_snaps));
         }
         ap::TraceCache cache;
-        t0 = std::chrono::steady_clock::now();
-        std::vector<ap::RunResult> r = ap::runExperiments(
-            specs, jobs, ap::cachedCellFn(cache, /*batched=*/false));
-        replay.seconds = secondsSince(t0);
-        replay.identical = allSame(serial, r);
-    }
-    {
         {
-            ap::TraceCache warm_cache;
-            ap::runExperiments(
-                specs, jobs,
-                ap::cachedCellFn(warm_cache, /*batched=*/true));
+            ap::SnapshotCache snaps;
+            snaps.setByteBudget(opt.snapshotPoolBytes());
+            t0 = std::chrono::steady_clock::now();
+            std::vector<ap::RunResult> r = ap::runExperiments(
+                specs, jobs, ap::snapshotCellFn(cache, snaps));
+            fresh.seconds = secondsSince(t0);
+            fresh.identical = allSame(serial, r);
+            cache_records = cache.records();
+            cache_replays = cache.replays();
         }
-        ap::TraceCache cache;
-        t0 = std::chrono::steady_clock::now();
-        std::vector<ap::RunResult> r = ap::runExperiments(
-            specs, jobs, ap::cachedCellFn(cache, /*batched=*/true));
-        batched.seconds = secondsSince(t0);
-        batched.identical = allSame(serial, r);
-        cache_records = cache.records();
-        cache_replays = cache.replays();
 
-        // Regeneration baseline: the cache is warm, every cell
-        // replays its full trace (warmup + measured region).
+        // Full-replay baseline: the trace cache is warm but the
+        // snapshot cache is not, so every cell replays its whole
+        // trace (warmup + measured region) and captures on the way.
+        ap::SnapshotCache snaps;
+        snaps.setByteBudget(opt.snapshotPoolBytes());
         t0 = std::chrono::steady_clock::now();
-        std::vector<ap::RunResult> r2 = ap::runExperiments(
-            specs, jobs, ap::cachedCellFn(cache, /*batched=*/true));
-        regen.seconds = secondsSince(t0);
-        regen.identical = allSame(serial, r2);
+        std::vector<ap::RunResult> r = ap::runExperiments(
+            specs, jobs, ap::snapshotCellFn(cache, snaps));
+        capture.seconds = secondsSince(t0);
+        capture.identical = allSame(serial, r);
     }
     Variant pooled{"snapshot-pooled"};
     std::uint64_t snap_evictions = 0, snap_resident = 0;
@@ -250,28 +249,28 @@ main(int argc, char **argv)
         // reused Machine storage from a pool instead of constructing
         // a fresh Machine per cell.
         ap::MachinePool pool;
-        ap::runExperiments(
-            specs, jobs, ap::snapshotCellFn(cache, snaps, true, &pool));
+        ap::runExperiments(specs, jobs,
+                           ap::snapshotCellFn(cache, snaps, &pool));
         t0 = std::chrono::steady_clock::now();
         std::vector<ap::RunResult> r2 = ap::runExperiments(
-            specs, jobs, ap::snapshotCellFn(cache, snaps, true, &pool));
+            specs, jobs, ap::snapshotCellFn(cache, snaps, &pool));
         pooled.seconds = secondsSince(t0);
         pooled.identical = allSame(serial, r2);
         pool_creates = pool.creates();
         pool_reuses = pool.reuses();
     }
 
-    for (Variant *v :
-         {&cold, &replay, &batched, &regen, &snapfork, &pooled})
+    Variant *variants[] = {&cold, &fresh, &capture, &snapfork, &pooled};
+    bool identical = true;
+    for (Variant *v : variants) {
         v->accessesPerSec = accesses / v->seconds;
+        identical = identical && v->identical;
+    }
     double serial_aps = accesses / serial_sec;
 
-    bool identical = cold.identical && replay.identical &&
-                     batched.identical && regen.identical &&
-                     snapfork.identical && pooled.identical;
     double parallel_speedup = serial_sec / cold.seconds;
-    double cache_speedup = cold.seconds / batched.seconds;
-    double snapshot_speedup = regen.seconds / snapfork.seconds;
+    double cache_speedup = cold.seconds / fresh.seconds;
+    double snapshot_speedup = capture.seconds / snapfork.seconds;
     // The machine-pool fork-path delta: warm-fork regeneration with
     // reused machine storage vs with per-cell construction.
     double pool_speedup = snapfork.seconds / pooled.seconds;
@@ -279,25 +278,24 @@ main(int argc, char **argv)
     // regeneration vs cold generation at the same job count.
     double engine_speedup = cold.seconds / snapfork.seconds;
 
-    std::printf("  serial cold    (jobs=1):  %7.3f s  %12.0f accesses/s\n",
+    std::printf("  serial cold      (jobs=1):  %7.3f s  %12.0f accesses/s\n",
                 serial_sec, serial_aps);
-    for (const Variant *v :
-         {&cold, &replay, &batched, &regen, &snapfork, &pooled}) {
-        std::printf("  %-14s (jobs=%u):  %7.3f s  %12.0f accesses/s%s\n",
+    for (const Variant *v : variants) {
+        std::printf("  %-16s (jobs=%u):  %7.3f s  %12.0f accesses/s%s\n",
                     v->name, jobs, v->seconds, v->accessesPerSec,
                     v->identical ? "" : "  NOT IDENTICAL (BUG)");
     }
     if (parallel_skipped) {
-        std::printf("  parallel speedup: skipped (%s)   trace-cache "
-                    "speedup (vs cold, same jobs): %.2fx\n",
+        std::printf("  parallel speedup: skipped (%s)   cache "
+                    "speedup (fresh vs cold, same jobs): %.2fx\n",
                     jobs <= 1 ? "jobs=1" : "single hardware thread",
                     cache_speedup);
     } else {
-        std::printf("  parallel speedup: %.2fx   trace-cache speedup "
-                    "(vs cold, same jobs): %.2fx\n",
+        std::printf("  parallel speedup: %.2fx   cache speedup "
+                    "(fresh vs cold, same jobs): %.2fx\n",
                     parallel_speedup, cache_speedup);
     }
-    std::printf("  snapshot regeneration speedup (fork vs full "
+    std::printf("  snapshot regeneration speedup (fork vs capture "
                 "replay): %.2fx\n",
                 snapshot_speedup);
     std::printf("  engine speedup (cached-fork vs cold, same jobs): "
@@ -358,16 +356,9 @@ main(int argc, char **argv)
          << "  \"trace_cache\": {\n"
          << "    \"records\": " << cache_records << ",\n"
          << "    \"replays\": " << cache_replays << ",\n"
-         << "    \"replay\": {\"jobs\": " << jobs
-         << ", \"seconds\": " << replay.seconds
-         << ", \"accesses_per_sec\": " << replay.accessesPerSec << "},\n"
-         << "    \"batched\": {\"jobs\": " << jobs
-         << ", \"seconds\": " << batched.seconds
-         << ", \"accesses_per_sec\": " << batched.accessesPerSec
-         << "},\n"
-         << "    \"regen\": {\"jobs\": " << jobs
-         << ", \"seconds\": " << regen.seconds
-         << ", \"accesses_per_sec\": " << regen.accessesPerSec << "},\n"
+         << "    \"fresh\": {\"jobs\": " << jobs
+         << ", \"seconds\": " << fresh.seconds
+         << ", \"accesses_per_sec\": " << fresh.accessesPerSec << "},\n"
          << "    \"speedup_vs_cold\": " << cache_speedup << "\n"
          << "  },\n"
          << "  \"snapshot_cache\": {\n"
@@ -376,11 +367,15 @@ main(int argc, char **argv)
          << "    \"evictions\": " << snap_evictions << ",\n"
          << "    \"resident_bytes\": " << snap_resident << ",\n"
          << "    \"pool_budget_mb\": " << opt.snapshotPoolMb << ",\n"
+         << "    \"capture\": {\"jobs\": " << jobs
+         << ", \"seconds\": " << capture.seconds
+         << ", \"accesses_per_sec\": " << capture.accessesPerSec
+         << "},\n"
          << "    \"fork\": {\"jobs\": " << jobs
          << ", \"seconds\": " << snapfork.seconds
          << ", \"accesses_per_sec\": " << snapfork.accessesPerSec
          << "},\n"
-         << "    \"speedup_vs_replay_regen\": " << snapshot_speedup
+         << "    \"speedup_vs_capture\": " << snapshot_speedup
          << "\n"
          << "  },\n"
          << "  \"machine_pool\": {\n"
@@ -413,16 +408,16 @@ main(int argc, char **argv)
         return 1;
     if (require_cache_speedup && cache_speedup <= 1.0) {
         std::fprintf(stderr,
-                     "FAIL: cached+batched replay (%.3f s) is not "
-                     "faster than cold generation (%.3f s)\n",
-                     batched.seconds, cold.seconds);
+                     "FAIL: snapshotted run from fresh caches (%.3f s) "
+                     "is not faster than cold generation (%.3f s)\n",
+                     fresh.seconds, cold.seconds);
         return 1;
     }
     if (require_snapshot_speedup && snapshot_speedup <= 1.0) {
         std::fprintf(stderr,
                      "FAIL: snapshot-fork regeneration (%.3f s) is not "
-                     "faster than trace-replay regeneration (%.3f s)\n",
-                     snapfork.seconds, regen.seconds);
+                     "faster than snapshot-capture replay (%.3f s)\n",
+                     snapfork.seconds, capture.seconds);
         return 1;
     }
     // 2.2x is a deliberately conservative CI floor (shared runners

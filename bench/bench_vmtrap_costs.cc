@@ -101,10 +101,10 @@ main(int argc, char **argv)
     ap::setQuietLogging(true);
     // --ops N sets the per-event iteration count (clamped to the
     // pre-populated page counts where the micro needs warm state).
-    ap::BenchOptions opt(100);
+    ap::BenchOptions opt(100, 0);
     for (int i = 1; i < argc; ++i) {
         if (!opt.consume(argc, argv, i))
-            opt.reject(argv, i, "");
+            opt.reject(argv, i);
     }
     g_iters = static_cast<unsigned>(
         std::min<std::uint64_t>(opt.ops ? opt.ops : 100, 1u << 20));

@@ -97,11 +97,9 @@ runSnapshotted(ap::Machine &machine, ap::Workload &workload,
                const std::string &name, ap::SnapshotCache &snaps,
                const ap::SnapshotKey &key, const std::string &trace_path)
 {
-    ap::Trace disk;
-    if (ap::readTraceFile(trace_path, disk)) {
-        auto compiled = std::make_shared<const ap::CompiledTrace>(
-            ap::compileTrace(disk));
-        ap::BatchReplayWorkload replay(compiled);
+    auto disk = std::make_shared<ap::CompiledTrace>();
+    if (ap::readCompiledTraceFile(trace_path, *disk)) {
+        ap::BatchReplayWorkload replay(std::move(disk));
         bool warmed = false;
         ap::SnapshotPtr snap = snaps.obtain(key, [&] {
             machine.runWarmup(replay);

@@ -9,8 +9,8 @@
  *   ./trace_tool replay <file> <mode> [--stream] [key=value ...]
  *   ./trace_tool info   <file>
  *
- * Files are written in the compact v2 format (APTRACE2); v1 files
- * still read. info streams the file, so arbitrarily large traces
+ * Files are in the compact v2 format (APTRACE2), the only one read or
+ * written. info streams the file, so arbitrarily large traces
  * summarize in bounded memory; replay defaults to the batched
  * fast path and --stream trades speed for bounded memory.
  */
@@ -99,7 +99,7 @@ main(int argc, char **argv)
             return 1;
         }
         std::cout << "workload: " << reader.workload()
-                  << "\nformat:   v" << reader.version()
+                  << "\nformat:   v2"
                   << "\nseed:     " << reader.seed()
                   << "\nevents:   " << reader.eventCount() << " ("
                   << reader.warmupEvents() << " warmup)\n";
@@ -146,15 +146,14 @@ main(int argc, char **argv)
             }
             r = machine.run(replay);
         } else {
-            // Fast path: compile once, drain access runs in batch.
-            ap::Trace trace;
-            if (!ap::readTraceFile(argv[2], trace)) {
+            // Fast path: load the compiled form, drain access runs in
+            // batch.
+            auto compiled = std::make_shared<ap::CompiledTrace>();
+            if (!ap::readCompiledTraceFile(argv[2], *compiled)) {
                 std::cerr << "cannot read " << argv[2] << "\n";
                 return 1;
             }
-            auto compiled = std::make_shared<const ap::CompiledTrace>(
-                ap::compileTrace(trace));
-            ap::BatchReplayWorkload replay(compiled);
+            ap::BatchReplayWorkload replay(std::move(compiled));
             r = machine.run(replay);
         }
         std::vector<ap::RunResult> rs{r};

@@ -13,8 +13,8 @@
 namespace ap
 {
 
-PhysMem::PhysMem(std::uint64_t frames, std::size_t arena_slab_pages)
-    : capacity_(frames), arena_(arena_slab_pages)
+PhysMem::PhysMem(std::uint64_t frames, std::size_t slab_pages)
+    : capacity_(frames), arena_(slab_pages)
 {
     ap_assert(frames >= 1, "PhysMem needs at least 1 frame");
     // Index 0 is the reserved null frame; usable ids are 1..capacity_.

@@ -57,12 +57,11 @@ class PhysMem
   public:
     /**
      * @param frames capacity of the pool in 4 KB frames (>= 2).
-     * @param arena_slab_pages PtPage slab granularity of the backing
+     * @param slab_pages PtPage slab granularity of the backing
      *        arena (sizing knob; simulated behavior is unaffected).
      */
     explicit PhysMem(std::uint64_t frames,
-                     std::size_t arena_slab_pages =
-                         PtPageArena::kDefaultSlabPages);
+                     std::size_t slab_pages = PtPageArena::kDefaultSlabPages);
 
     /**
      * Allocate a data frame.

@@ -64,7 +64,7 @@ workerMain(int request_fd, int result_fd,
             res.cell = req.cell;
             try {
                 res.run = runExperimentSnapshotted(traces, snaps,
-                                                   req.spec, true, &pool);
+                                                   req.spec, &pool);
                 res.ok = true;
             } catch (const std::exception &e) {
                 res.ok = false;

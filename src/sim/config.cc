@@ -131,13 +131,6 @@ SimConfig::applyOption(const std::string &option)
         return as_bool(hwOptAd);
     if (key == "verify")
         return as_bool(verifyTranslations);
-    if (key == "arena_slab_pages") {
-        std::uint64_t n;
-        if (!as_u64(n) || n == 0)
-            return false;
-        arenaSlabPages = n;
-        return true;
-    }
     if (key == "sptr_cache") {
         std::uint64_t n;
         if (!as_u64(n))

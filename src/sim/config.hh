@@ -112,15 +112,6 @@ struct SimConfig
      *  (coherence message, no interrupt, no trap). */
     Cycles hwInvalidateCycles = 40;
 
-    // ------------------------------------------------------------------
-    // Host-side engine knobs. These change how fast the simulator runs,
-    // never what it simulates, so they are deliberately excluded from
-    // the snapshot config digest (simConfigDigest).
-    // ------------------------------------------------------------------
-
-    /** Pages per slab of the page-table-page arena (sizing knob). */
-    std::uint64_t arenaSlabPages = 256;
-
     /** Apply both optional hardware optimizations (the evaluated agile
      *  configuration includes them; Section VII "includes the benefit
      *  of hardware optimizations"). */

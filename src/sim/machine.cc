@@ -139,9 +139,7 @@ Machine::Machine(const SimConfig &cfg)
       cfg_(cfg),
       rng_(12345),          // workload stream: identical in every mode
       internal_rng_(12345), // machine stream: driven by events only
-      mem_(cfg.hostMemFrames,
-           cfg.arenaSlabPages ? cfg.arenaSlabPages
-                              : PtPageArena::kDefaultSlabPages)
+      mem_(cfg.hostMemFrames, PtPageArena::kDefaultSlabPages)
 {
     tlb_ = std::make_unique<TlbHierarchy>(this, cfg_.tlb);
     pwc_ = std::make_unique<PageWalkCache>(this, cfg_.pwcEntries,

@@ -14,8 +14,8 @@
  * a pure function of (workloads, params, quantum), the same slot
  * traces drive every MMU mode. Slot traces store the slot's guest
  * pid in Trace::seed; they are only meaningful to Scheduler replay,
- * not to TraceReplayWorkload (which would apply the markers as real
- * yields).
+ * not to a whole-trace replay workload (which would apply the markers
+ * as real yields).
  *
  * The run splits into warmup() and runMeasured(), mirroring
  * Machine::runWarmup/runMeasured: a machine snapshot captured between

@@ -274,12 +274,13 @@ writeCompiledTrace(const CompiledTrace &trace, std::ostream &os)
     return bool(os);
 }
 
-namespace detail
-{
-
 bool
-readCompiledTraceBody(std::istream &is, CompiledTrace &out)
+readCompiledTrace(std::istream &is, CompiledTrace &out)
 {
+    char magic[8];
+    is.read(magic, sizeof(magic));
+    if (!is || std::memcmp(magic, kMagicV2, sizeof(kMagicV2)) != 0)
+        return false;
     std::uint64_t name_len = 0;
     if (!get(is, name_len) || name_len > (1u << 20))
         return false;
@@ -353,18 +354,6 @@ readCompiledTraceBody(std::istream &is, CompiledTrace &out)
     // indexes ops by warmupOps and decompile reserves eventCount.
     return out.eventCount == out.vas.size() + out.ctrl.size() &&
            out.warmupOps <= out.ops.size();
-}
-
-} // namespace detail
-
-bool
-readCompiledTrace(std::istream &is, CompiledTrace &out)
-{
-    char magic[8];
-    is.read(magic, sizeof(magic));
-    if (!is || std::memcmp(magic, kMagicV2, sizeof(kMagicV2)) != 0)
-        return false;
-    return detail::readCompiledTraceBody(is, out);
 }
 
 bool

@@ -145,12 +145,6 @@ bool writeCompiledTraceFile(const CompiledTrace &trace,
 bool readCompiledTrace(std::istream &is, CompiledTrace &out);
 bool readCompiledTraceFile(const std::string &path, CompiledTrace &out);
 
-namespace detail
-{
-/** Parse a v2 stream positioned just after the 8-byte magic. */
-bool readCompiledTraceBody(std::istream &is, CompiledTrace &out);
-} // namespace detail
-
 } // namespace ap
 
 #endif // AGILEPAGING_TRACE_COMPILED_TRACE_HH

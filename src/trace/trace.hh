@@ -6,10 +6,10 @@
  * page-table updates and BadgerTrap captured TLB misses (Section VI).
  * This module provides the equivalent artifact for the simulator: a
  * TraceRecorder captures the full event stream a workload issues
- * through the WorkloadHost interface, TraceWriter/TraceReader persist
- * it, and TraceReplayWorkload plays a captured stream back as a
- * first-class workload — so one captured run can be re-simulated under
- * every technique, or shipped as a reproducible input.
+ * through the WorkloadHost interface, and writeTrace/readTrace persist
+ * it. Compiled (trace/compiled_trace.hh), a captured stream replays
+ * as a first-class workload — so one captured run can be re-simulated
+ * under every technique, or shipped as a reproducible input.
  */
 
 #ifndef AGILEPAGING_TRACE_TRACE_HH
@@ -78,7 +78,7 @@ struct Trace
 
 /**
  * Apply one recorded event to a host. This is the replay primitive
- * shared by TraceReplayWorkload and the differential oracle (which
+ * shared by the per-event replays and the differential oracle (which
  * lock-steps several machines through the same event and therefore
  * cannot use the Workload interface).
  */
@@ -244,40 +244,13 @@ class TraceRecorder : public WorkloadHost
 };
 
 /**
- * Replays a captured trace as a workload. Mmap events replay at their
- * recorded bases, so the address stream is bit-exact; replaying the
- * same trace under different techniques isolates the technique's
- * effect the way the paper's trace-driven methodology does.
- */
-class TraceReplayWorkload : public Workload
-{
-  public:
-    explicit TraceReplayWorkload(Trace trace);
-
-    std::string name() const override;
-    void init(WorkloadHost &host) override;
-    void warmup(WorkloadHost &host) override;
-    bool step(WorkloadHost &host) override;
-    /** The recorded warmup boundary is authoritative. */
-    bool selfWarmup() const override { return true; }
-
-  private:
-    Trace trace_;
-    std::uint64_t next_ = 0;
-};
-
-/**
  * Serialize a trace (binary, versioned). Writes the compact RLE/SoA
  * format v2 ("APTRACE2", ~8.25 bytes per access). @return success.
  */
 bool writeTrace(const Trace &trace, std::ostream &os);
 bool writeTraceFile(const Trace &trace, const std::string &path);
 
-/** Serialize in the legacy per-event format v1 ("APTRACE1"). */
-bool writeTraceV1(const Trace &trace, std::ostream &os);
-bool writeTraceFileV1(const Trace &trace, const std::string &path);
-
-/** Deserialize either format version. @return false on mismatch. */
+/** Deserialize (format v2 only). @return false on mismatch. */
 bool readTrace(std::istream &is, Trace &out);
 bool readTraceFile(const std::string &path, Trace &out);
 

@@ -167,57 +167,7 @@ runSnapshotted(TraceCache &traces, SnapshotCache &snaps,
     return r;
 }
 
-/** The parameters and config runExperiment derives from @p spec. */
-WorkloadParams
-specParams(const ExperimentSpec &spec)
-{
-    WorkloadParams params = defaultParamsFor(spec.workload);
-    if (spec.operations)
-        params.operations = spec.operations;
-    return params;
-}
-
-SimConfig
-specConfig(const ExperimentSpec &spec, const WorkloadParams &params)
-{
-    SimConfig cfg =
-        configFor(spec.mode, spec.pageSize, params, spec.hwOpts);
-    cfg.numVcpus = spec.numVcpus;
-    cfg.tlbCoherence = spec.tlbCoherence;
-    return cfg;
-}
-
 } // namespace
-
-RunResult
-runCellCached(TraceCache &cache, const std::string &workload_name,
-              const WorkloadParams &params, const SimConfig &cfg,
-              bool batched)
-{
-    std::optional<RunResult> recorded;
-    TraceCache::TracePtr compiled = obtainTrace(
-        cache, workload_name, params, cfg, nullptr, recorded);
-    if (recorded)
-        return *recorded;
-
-    Machine machine(cfg);
-    BatchReplayWorkload replay(compiled, batched);
-    RunResult r = machine.run(replay);
-    // The replay runs under the cell's own config; only the reporting
-    // name ("replay:<wl>") needs restoring for matrix consumers.
-    r.workload = compiled->workload;
-    return r;
-}
-
-CellFn
-cachedCellFn(TraceCache &cache, bool batched)
-{
-    return [&cache, batched](const ExperimentSpec &spec) {
-        WorkloadParams params = specParams(spec);
-        return runCellCached(cache, spec.workload, params,
-                             specConfig(spec, params), batched);
-    };
-}
 
 RunResult
 runCellSnapshotted(TraceCache &traces, SnapshotCache &snaps,
@@ -232,30 +182,33 @@ runCellSnapshotted(TraceCache &traces, SnapshotCache &snaps,
 RunResult
 runWorkloadSnapshotted(TraceCache &traces, SnapshotCache &snaps,
                        const std::string &cache_name, Workload &workload,
-                       const SimConfig &cfg, bool batched,
-                       MachinePool *pool)
+                       const SimConfig &cfg, MachinePool *pool)
 {
     return runSnapshotted(traces, snaps, cache_name, workload.params(),
-                          cfg, &workload, batched, pool);
+                          cfg, &workload, true, pool);
 }
 
 RunResult
 runExperimentSnapshotted(TraceCache &traces, SnapshotCache &snaps,
-                         const ExperimentSpec &spec, bool batched,
-                         MachinePool *pool)
+                         const ExperimentSpec &spec, MachinePool *pool)
 {
-    WorkloadParams params = specParams(spec);
-    return runCellSnapshotted(traces, snaps, spec.workload, params,
-                              specConfig(spec, params), batched, pool);
+    // The parameters and config runExperiment derives from the spec.
+    WorkloadParams params = defaultParamsFor(spec.workload);
+    if (spec.operations)
+        params.operations = spec.operations;
+    SimConfig cfg =
+        configFor(spec.mode, spec.pageSize, params, spec.hwOpts);
+    cfg.numVcpus = spec.numVcpus;
+    cfg.tlbCoherence = spec.tlbCoherence;
+    return runSnapshotted(traces, snaps, spec.workload, params, cfg,
+                          nullptr, true, pool);
 }
 
 CellFn
-snapshotCellFn(TraceCache &traces, SnapshotCache &snaps, bool batched,
-               MachinePool *pool)
+snapshotCellFn(TraceCache &traces, SnapshotCache &snaps, MachinePool *pool)
 {
-    return [&traces, &snaps, batched, pool](const ExperimentSpec &spec) {
-        return runExperimentSnapshotted(traces, snaps, spec, batched,
-                                        pool);
+    return [&traces, &snaps, pool](const ExperimentSpec &spec) {
+        return runExperimentSnapshotted(traces, snaps, spec, pool);
     };
 }
 

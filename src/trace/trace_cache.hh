@@ -109,34 +109,17 @@ class TraceCache
 };
 
 /**
- * Run one cell through the trace cache only: the first cell per key
- * records (and returns its own fresh-run result — no replay cost),
- * later cells replay the shared trace on their own Machine from
- * scratch. Results are bit-identical to runExperiment for every cell.
- * The matrix drivers use the snapshotted runners below; this layer
- * stays so bench_throughput can measure what snapshots add on top.
- * @param batched false = per-event replay (A/B verification)
- */
-RunResult runCellCached(TraceCache &cache,
-                        const std::string &workload_name,
-                        const WorkloadParams &params,
-                        const SimConfig &cfg, bool batched = true);
-
-/**
- * A CellFn for runExperiments/runFigure5Matrix that routes every cell
- * through runCellCached. The cache must outlive the returned function.
- */
-CellFn cachedCellFn(TraceCache &cache, bool batched = true);
-
-/**
  * Run one cell through both caches: the trace cache dedupes the
- * operation stream across cells (as runCellCached), and the snapshot
- * cache dedupes the *warm machine state* across cells whose full
- * config matches. The first cell per snapshot key replays warmup once
- * and freezes the machine at the measurement boundary; every later
- * identical cell forks a fresh Machine from the frozen image and runs
- * only the measured region. Results are bit-identical to
+ * operation stream across cells (the first cell per key records it
+ * and returns its own fresh-run result), and the snapshot cache
+ * dedupes the *warm machine state* across cells whose full config
+ * matches. The first replaying cell per snapshot key replays warmup
+ * once and freezes the machine at the measurement boundary; every
+ * later identical cell forks a fresh Machine from the frozen image
+ * and runs only the measured region. Results are bit-identical to
  * runExperiment for every cell.
+ * @param batched false = per-event replay (the reference the batched
+ *        fast path is checked against)
  * @param pool optional machine-storage pool: forked cells lease a
  *        parked same-digest Machine (arena slabs and frame vectors
  *        warm) instead of constructing one, and park it back after the
@@ -152,7 +135,6 @@ RunResult runCellSnapshotted(TraceCache &traces, SnapshotCache &snaps,
 RunResult runExperimentSnapshotted(TraceCache &traces,
                                    SnapshotCache &snaps,
                                    const ExperimentSpec &spec,
-                                   bool batched = true,
                                    MachinePool *pool = nullptr);
 
 /**
@@ -169,7 +151,6 @@ RunResult runWorkloadSnapshotted(TraceCache &traces,
                                  const std::string &cache_name,
                                  Workload &workload,
                                  const SimConfig &cfg,
-                                 bool batched = true,
                                  MachinePool *pool = nullptr);
 
 /**
@@ -177,7 +158,7 @@ RunResult runWorkloadSnapshotted(TraceCache &traces,
  * the pool, if given) must outlive the returned function.
  */
 CellFn snapshotCellFn(TraceCache &traces, SnapshotCache &snaps,
-                      bool batched = true, MachinePool *pool = nullptr);
+                      MachinePool *pool = nullptr);
 
 } // namespace ap
 

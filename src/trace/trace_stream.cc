@@ -34,8 +34,7 @@ constexpr std::size_t kReplayChunk = 4096;
 TraceFileReader::TraceFileReader(const std::string &path)
     : is_(path, std::ios::binary)
 {
-    if (is_ && !readHeader())
-        version_ = 0;
+    open_ = is_ && readHeader();
 }
 
 bool
@@ -43,13 +42,7 @@ TraceFileReader::readHeader()
 {
     char magic[8];
     is_.read(magic, sizeof(magic));
-    if (!is_)
-        return false;
-    if (std::memcmp(magic, "APTRACE2", 8) == 0)
-        version_ = 2;
-    else if (std::memcmp(magic, "APTRACE1", 8) == 0)
-        version_ = 1;
-    else
+    if (!is_ || std::memcmp(magic, "APTRACE2", 8) != 0)
         return false;
 
     std::uint64_t name_len = 0;
@@ -57,19 +50,10 @@ TraceFileReader::readHeader()
         return false;
     workload_.resize(name_len);
     is_.read(workload_.data(), static_cast<std::streamsize>(name_len));
-    if (!get(is_, seed_) || !get(is_, warmup_))
-        return false;
-    if (version_ == 2) {
-        std::uint64_t warmup_ops = 0; // replay recomputes its own
-        if (!get(is_, warmup_ops) || !get(is_, event_count_) ||
-            !get(is_, op_count_)) {
-            return false;
-        }
-    } else {
-        if (!get(is_, event_count_))
-            return false;
-    }
-    return bool(is_);
+    std::uint64_t warmup_ops = 0; // replay recomputes its own
+    return get(is_, seed_) && get(is_, warmup_) &&
+           get(is_, warmup_ops) && get(is_, event_count_) &&
+           get(is_, op_count_);
 }
 
 bool
@@ -103,27 +87,6 @@ TraceFileReader::next(std::vector<TraceEvent> &out, std::size_t max)
     out.clear();
     if (!ok())
         return 0;
-
-    if (version_ == 1) {
-        while (out.size() < max && events_read_ < event_count_) {
-            TraceEvent e;
-            std::uint8_t kind = 0, flags = 0;
-            if (!get(is_, kind) || !get(is_, e.addr) ||
-                !get(is_, e.arg) || !get(is_, e.fileId) ||
-                !get(is_, flags) ||
-                kind > static_cast<std::uint8_t>(
-                           TraceEvent::Kind::SharePages)) {
-                bad_ = true;
-                break;
-            }
-            e.kind = static_cast<TraceEvent::Kind>(kind);
-            e.flag = flags & 1;
-            e.fileBacked = flags & 2;
-            out.push_back(e);
-            ++events_read_;
-        }
-        return out.size();
-    }
 
     while (out.size() < max && events_read_ < event_count_) {
         if (run_pos_ < run_vas_.size()) {

@@ -4,7 +4,7 @@
  *
  * readTraceFile materializes the whole event vector, which for a
  * multi-million-op capture is hundreds of MB. TraceFileReader decodes
- * a trace file (either format version) in chunks, holding at most one
+ * an APTRACE2 trace file in chunks, holding at most one
  * access run (kMaxRunEvents) of scratch; StreamReplayWorkload replays
  * straight off such a reader so arbitrarily large trace files run in
  * constant memory. trace_tool uses the reader to summarize files it
@@ -36,9 +36,7 @@ class TraceFileReader
     explicit TraceFileReader(const std::string &path);
 
     /** Header parsed and no decode error so far. */
-    bool ok() const { return version_ != 0 && !bad_; }
-    /** On-disk format version (1 or 2), 0 if the open failed. */
-    int version() const { return version_; }
+    bool ok() const { return open_ && !bad_; }
 
     const std::string &workload() const { return workload_; }
     std::uint64_t seed() const { return seed_; }
@@ -60,17 +58,17 @@ class TraceFileReader
     bool refillRun();
 
     std::ifstream is_;
-    int version_ = 0;
+    bool open_ = false;
     bool bad_ = false;
     std::string workload_;
     std::uint64_t seed_ = 0;
     std::uint64_t warmup_ = 0;
     std::uint64_t event_count_ = 0;
-    std::uint64_t op_count_ = 0;    // v2
-    std::uint64_t ops_read_ = 0;    // v2
+    std::uint64_t op_count_ = 0;
+    std::uint64_t ops_read_ = 0;
     std::uint64_t events_read_ = 0;
 
-    // v2: the access run currently being drained.
+    // The access run currently being drained.
     std::vector<Addr> run_vas_;
     std::vector<std::uint64_t> run_w_, run_i_;
     std::uint64_t run_pos_ = 0;

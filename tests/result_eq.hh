@@ -2,7 +2,8 @@
  * @file
  * Field-for-field RunResult comparison shared by the equivalence
  * tests (cached vs fresh, batched vs per-event, forked vs cold,
- * parallel vs serial).
+ * parallel vs serial), and the per-event replay of a cached trace
+ * that several of them compare against.
  */
 
 #ifndef AGILEPAGING_TESTS_RESULT_EQ_HH
@@ -10,7 +11,11 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+
 #include "sim/machine.hh"
+#include "trace/trace_cache.hh"
 
 namespace ap
 {
@@ -43,6 +48,33 @@ expectSameResult(const RunResult &a, const RunResult &b)
     EXPECT_EQ(a.segmentHits, b.segmentHits);
     EXPECT_EQ(a.segmentSpills, b.segmentSpills);
     EXPECT_EQ(a.segmentInvalidations, b.segmentInvalidations);
+}
+
+/**
+ * Replay the trace @p traces already holds for this cell event by
+ * event on a fresh machine: the per-event reference for the shared
+ * stream. Counts as one replay() of the cache.
+ */
+inline RunResult
+replayCachedPerEvent(TraceCache &traces, const std::string &wl,
+                     const WorkloadParams &params, const SimConfig &cfg)
+{
+    TraceCacheKey key;
+    key.workload = wl;
+    key.pageSize = cfg.pageSize;
+    key.operations = params.operations;
+    key.seed = params.seed;
+    key.footprintBytes = params.footprintBytes;
+    key.warmupFraction = cfg.warmupFraction;
+    TraceCache::TracePtr compiled = traces.obtain(key, [] {
+        ADD_FAILURE() << "trace not cached";
+        return std::make_shared<const CompiledTrace>();
+    });
+    Machine m(cfg);
+    BatchReplayWorkload replay(compiled, false);
+    RunResult r = m.run(replay);
+    r.workload = compiled->workload;
+    return r;
 }
 
 } // namespace ap

@@ -40,9 +40,9 @@ smallParams()
 /**
  * Multi-vCPU batched replay: with numVcpus > 1 the batch loop splits
  * runs at vcpu-quantum boundaries instead of bailing to per-event
- * replay. A fresh generated run, the batched replay, and the
- * per-event replay must stay field-for-field identical at 2 and 4
- * vCPUs.
+ * replay. A fresh generated run, the recording run, the batched
+ * capture replay, a fork, and the per-event replay must stay
+ * field-for-field identical at 2 and 4 vCPUs.
  */
 TEST(BatchVector, MultiVcpuBatchedMatchesPerEvent)
 {
@@ -65,12 +65,18 @@ TEST(BatchVector, MultiVcpuBatchedMatchesPerEvent)
                     fresh = m.run(*w);
                 }
                 TraceCache cache;
-                RunResult batched =
-                    runCellCached(cache, wl, params, cfg, true);
-                RunResult unbatched =
-                    runCellCached(cache, wl, params, cfg, false);
-                expectSameResult(fresh, batched);
-                expectSameResult(fresh, unbatched);
+                SnapshotCache snaps;
+                // Record, then capture (a full batched replay), then
+                // fork.
+                for (int call = 0; call < 3; ++call) {
+                    expectSameResult(
+                        fresh, runCellSnapshotted(cache, snaps, wl,
+                                                  params, cfg));
+                }
+                expectSameResult(
+                    fresh, replayCachedPerEvent(cache, wl, params, cfg));
+                EXPECT_EQ(snaps.captures(), 1u);
+                EXPECT_EQ(snaps.forks(), 1u);
             }
         }
     }

@@ -221,7 +221,7 @@ TEST(ClaimOrder, SnapshottedMatrixMatchesSerialAtJobs3And4)
         SnapshotCache snaps;
         MachinePool pool;
         std::vector<RunResult> cached = runFigure5Matrix(
-            1'000, jobs, snapshotCellFn(traces, snaps, true, &pool));
+            1'000, jobs, snapshotCellFn(traces, snaps, &pool));
         ASSERT_EQ(cached.size(), serial.size());
         for (std::size_t i = 0; i < serial.size(); ++i) {
             SCOPED_TRACE("jobs " + std::to_string(jobs) + " cell " +

@@ -395,8 +395,8 @@ TEST_F(ServiceTest, StreamedFramesMatchInProcessBitForBit)
     SnapshotCache snaps;
     MachinePool pool;
     for (std::size_t i = 0; i < specs.size(); ++i) {
-        RunResult r = runExperimentSnapshotted(traces, snaps, specs[i],
-                                               true, &pool);
+        RunResult r =
+            runExperimentSnapshotted(traces, snaps, specs[i], &pool);
         std::ostringstream expect;
         writeRunResultJson(expect, r);
         EXPECT_EQ(got[i], expect.str()) << "cell " << i;
@@ -581,8 +581,7 @@ TEST(MachinePoolTest, ForkPathReusesMachinesBitIdentically)
     // Pool-less reference: fresh machine per fork.
     TraceCache ref_traces;
     SnapshotCache ref_snaps;
-    RunResult ref =
-        runExperimentSnapshotted(ref_traces, ref_snaps, spec, true);
+    RunResult ref = runExperimentSnapshotted(ref_traces, ref_snaps, spec);
 
     TraceCache traces;
     SnapshotCache snaps;
@@ -594,8 +593,7 @@ TEST(MachinePoolTest, ForkPathReusesMachinesBitIdentically)
     std::ostringstream expect;
     writeRunResultJson(expect, ref);
     for (int run = 1; run <= 4; ++run) {
-        RunResult r =
-            runExperimentSnapshotted(traces, snaps, spec, true, &pool);
+        RunResult r = runExperimentSnapshotted(traces, snaps, spec, &pool);
         std::ostringstream got;
         writeRunResultJson(got, r);
         EXPECT_EQ(got.str(), expect.str()) << "run " << run;
@@ -620,7 +618,7 @@ TEST(MachinePoolTest, ParallelRunnersShareOnePool)
             specs.push_back(smallSpec("gcc", mode));
 
     std::vector<RunResult> results = runExperiments(
-        specs, 2, snapshotCellFn(traces, snaps, true, &pool));
+        specs, 2, snapshotCellFn(traces, snaps, &pool));
     ASSERT_EQ(results.size(), specs.size());
     // Repeats of one spec are bit-identical regardless of which
     // thread and which pooled machine ran them.
@@ -643,11 +641,9 @@ TEST(MachinePoolTest, DistinctConfigsDoNotShareMachines)
     RunResult agile, nested;
     for (int run = 0; run < 3; ++run) {
         agile = runExperimentSnapshotted(
-            traces, snaps, smallSpec("gcc", VirtMode::Agile), true,
-            &pool);
+            traces, snaps, smallSpec("gcc", VirtMode::Agile), &pool);
         nested = runExperimentSnapshotted(
-            traces, snaps, smallSpec("gcc", VirtMode::Nested), true,
-            &pool);
+            traces, snaps, smallSpec("gcc", VirtMode::Nested), &pool);
     }
     EXPECT_EQ(pool.creates(), 2u);
     EXPECT_EQ(pool.idle(), 2u);

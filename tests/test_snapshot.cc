@@ -243,8 +243,8 @@ TEST(SnapshotEquivalence, CallerWorkloadMatchesFreshRun)
              {static_cast<MachinePool *>(nullptr),
               static_cast<MachinePool *>(nullptr), &pool, &pool}) {
             SynthWorkload ignored(params);
-            RunResult r = runWorkloadSnapshotted(
-                traces, snaps, cache_name, ignored, cfg, true, p);
+            RunResult r = runWorkloadSnapshotted(traces, snaps, cache_name,
+                                                 ignored, cfg, p);
             EXPECT_EQ(ignored.steps(), 0u);
             EXPECT_EQ(r.workload, cache_name);
             r.workload = fresh.workload;

@@ -10,6 +10,8 @@
 
 #include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -46,6 +48,15 @@ testParams()
     p.operations = 40'000;
     p.seed = 11;
     return p;
+}
+
+/** Replay @p t event by event, the reference the batched path is
+ *  checked against. */
+BatchReplayWorkload
+perEventReplay(const Trace &t)
+{
+    return BatchReplayWorkload(
+        std::make_shared<const CompiledTrace>(compileTrace(t)), false);
 }
 
 TEST(Trace, SerializationRoundTrip)
@@ -126,7 +137,7 @@ TEST(Trace, ReplayReproducesRunExactly)
 
     // Replay on a fresh, identically configured machine.
     Machine m2(testConfig(VirtMode::Agile));
-    TraceReplayWorkload replay(recorded.trace);
+    BatchReplayWorkload replay = perEventReplay(recorded.trace);
     RunResult replayed = m2.run(replay);
 
     EXPECT_EQ(replayed.tlbMisses, recorded.result.tlbMisses);
@@ -135,37 +146,6 @@ TEST(Trace, ReplayReproducesRunExactly)
     EXPECT_EQ(replayed.trapCycles, recorded.result.trapCycles);
     EXPECT_EQ(replayed.guestPageFaults,
               recorded.result.guestPageFaults);
-}
-
-TEST(Trace, V1BackwardCompat)
-{
-    // Files written by the legacy per-event serializer keep reading.
-    Trace t;
-    t.workload = "legacy";
-    t.seed = 7;
-    t.warmupEvents = 2;
-    t.events.push_back(
-        TraceEvent{TraceEvent::Kind::MmapAt, 0x20000, 0x8000, 3, true,
-                   true});
-    t.events.push_back(
-        TraceEvent{TraceEvent::Kind::Access, 0x20040, 0, 0, true, false});
-    t.events.push_back(
-        TraceEvent{TraceEvent::Kind::InstrFetch, 0x21000, 0, 0, false,
-                   false});
-    t.events.push_back(
-        TraceEvent{TraceEvent::Kind::Compute, 0, 99, 0, false, false});
-
-    std::stringstream ss;
-    ASSERT_TRUE(writeTraceV1(t, ss));
-    EXPECT_EQ(ss.str().substr(0, 8), "APTRACE1");
-    Trace back;
-    ASSERT_TRUE(readTrace(ss, back));
-    EXPECT_EQ(back.workload, "legacy");
-    EXPECT_EQ(back.seed, 7u);
-    EXPECT_EQ(back.warmupEvents, 2u);
-    ASSERT_EQ(back.events.size(), t.events.size());
-    for (std::size_t i = 0; i < t.events.size(); ++i)
-        EXPECT_EQ(back.events[i], t.events[i]);
 }
 
 TEST(Trace, WritesV2ByDefault)
@@ -276,30 +256,26 @@ TEST(CompiledTrace, V2FileRoundTrip)
 
 TEST(Trace, StreamingReaderMatchesFullReadBothVersions)
 {
+    // APTRACE2 is the only format left; the name predates that.
     Trace t = mixedTrace();
-    for (int version : {1, 2}) {
-        std::string path = ::testing::TempDir() + "ap_trace_stream_" +
-                           std::to_string(version) + ".bin";
-        ASSERT_TRUE(version == 1 ? writeTraceFileV1(t, path)
-                                 : writeTraceFile(t, path));
-        TraceFileReader reader(path);
-        ASSERT_TRUE(reader.ok()) << "version " << version;
-        EXPECT_EQ(reader.version(), version);
-        EXPECT_EQ(reader.workload(), t.workload);
-        EXPECT_EQ(reader.seed(), t.seed);
-        EXPECT_EQ(reader.warmupEvents(), t.warmupEvents);
-        EXPECT_EQ(reader.eventCount(), t.events.size());
+    std::string path = ::testing::TempDir() + "ap_trace_stream.bin";
+    ASSERT_TRUE(writeTraceFile(t, path));
+    TraceFileReader reader(path);
+    ASSERT_TRUE(reader.ok());
+    EXPECT_EQ(reader.workload(), t.workload);
+    EXPECT_EQ(reader.seed(), t.seed);
+    EXPECT_EQ(reader.warmupEvents(), t.warmupEvents);
+    EXPECT_EQ(reader.eventCount(), t.events.size());
 
-        // Tiny chunks force every refill path.
-        std::vector<TraceEvent> all, chunk;
-        while (reader.next(chunk, 7))
-            all.insert(all.end(), chunk.begin(), chunk.end());
-        EXPECT_TRUE(reader.ok());
-        ASSERT_EQ(all.size(), t.events.size()) << "version " << version;
-        for (std::size_t i = 0; i < t.events.size(); ++i)
-            EXPECT_EQ(all[i], t.events[i]) << "event " << i;
-        std::remove(path.c_str());
-    }
+    // Tiny chunks force every refill path.
+    std::vector<TraceEvent> all, chunk;
+    while (reader.next(chunk, 7))
+        all.insert(all.end(), chunk.begin(), chunk.end());
+    EXPECT_TRUE(reader.ok());
+    ASSERT_EQ(all.size(), t.events.size());
+    for (std::size_t i = 0; i < t.events.size(); ++i)
+        EXPECT_EQ(all[i], t.events[i]) << "event " << i;
+    std::remove(path.c_str());
 }
 
 TEST(Trace, StreamReplayReproducesRunExactly)
@@ -339,7 +315,7 @@ TEST(CompiledTrace, BatchReplayMatchesEventReplay)
         compileTrace(recorded.trace));
 
     Machine m_event(testConfig(VirtMode::Shadow));
-    TraceReplayWorkload event_replay(recorded.trace);
+    BatchReplayWorkload event_replay(compiled, false);
     RunResult by_event = m_event.run(event_replay);
 
     Machine m_batch(testConfig(VirtMode::Shadow));
@@ -373,7 +349,7 @@ TEST(Trace, OneTraceManyTechniques)
     for (VirtMode mode :
          {VirtMode::Nested, VirtMode::Shadow, VirtMode::Agile}) {
         Machine m(testConfig(mode));
-        TraceReplayWorkload replay(recorded.trace);
+        BatchReplayWorkload replay = perEventReplay(recorded.trace);
         RunResult r = m.run(replay);
         EXPECT_GT(r.walks, 0u);
         misses[i++] = r.tlbMisses;
@@ -397,18 +373,6 @@ patchU64(std::string bytes, std::size_t offset, std::uint64_t v)
 {
     std::memcpy(&bytes[offset], &v, sizeof(v));
     return bytes;
-}
-
-/** A header-only APTRACE1 file: magic, name_len 0, seed, warmup,
- *  count (40 bytes). */
-std::string
-emptyV1File()
-{
-    std::stringstream ss;
-    Trace t;
-    EXPECT_TRUE(writeTraceV1(t, ss));
-    EXPECT_EQ(ss.str().size(), 40u);
-    return ss.str();
 }
 
 /** A header-only APTRACE2 file: magic, name_len 0, seed, warmup
@@ -451,17 +415,29 @@ readsAsWalkTrace(const std::string &bytes)
     return readWalkTrace(ss, records, dropped);
 }
 
-TEST(TraceFileRejects, V1TruncatedHeader)
+TEST(TraceFileRejects, V1MagicRejected)
 {
-    const std::string f = emptyV1File();
-    ASSERT_TRUE(readsAsTrace(f));
-    for (std::size_t n = 0; n < f.size(); ++n)
-        EXPECT_FALSE(readsAsTrace(f.substr(0, n))) << n << " bytes";
-}
-
-TEST(TraceFileRejects, V1LyingEventCount)
-{
-    EXPECT_FALSE(readsAsTrace(patchU64(emptyV1File(), 32, kLyingCount)));
+    // A header-only file in the retired per-event format: magic,
+    // name_len 0, seed, warmup, count (40 bytes). Every reader turns
+    // it away like any other unknown magic.
+    std::string v1(40, '\0');
+    std::memcpy(v1.data(), "APTRACE1", 8);
+    EXPECT_NO_THROW(EXPECT_FALSE(readsAsTrace(v1)));
+    std::stringstream ss(v1);
+    CompiledTrace c;
+    EXPECT_NO_THROW(EXPECT_FALSE(readCompiledTrace(ss, c)));
+    std::string path = ::testing::TempDir() + "ap_trace_v1.bin";
+    {
+        std::ofstream os(path, std::ios::binary);
+        os << v1;
+    }
+    EXPECT_NO_THROW({
+        TraceFileReader reader(path);
+        EXPECT_FALSE(reader.ok());
+        std::vector<TraceEvent> chunk;
+        EXPECT_EQ(reader.next(chunk, 7), 0u);
+    });
+    std::remove(path.c_str());
 }
 
 TEST(TraceFileRejects, V2TruncatedHeader)

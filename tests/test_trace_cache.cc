@@ -1,10 +1,11 @@
 /**
  * @file
- * Trace cache tests: the bit-identity contract (cached replay, batched
- * or not, reproduces a fresh Workload::step run field for field, for
- * every Table V workload and page size), first-wins memoization under
- * concurrency, and whole-matrix equivalence with and without the
- * cache across jobs settings.
+ * Trace cache tests: the bit-identity contract (a trace recorded under
+ * one mode and replayed under every mode — captured, forked, or event
+ * by event — reproduces a fresh Workload::step run field for field,
+ * for every Table V workload and page size), first-wins memoization
+ * under concurrency, and whole-matrix equivalence with and without
+ * the cache across jobs settings.
  */
 
 #include <gtest/gtest.h>
@@ -37,10 +38,11 @@ smallParams()
 }
 
 /**
- * The core contract, per workload: for each page size and each
- * virtualized mode (range included), a fresh generated run, the
- * recording run, a batched cached replay, and a per-event cached
- * replay all produce the identical RunResult.
+ * The core contract, per workload: for each page size, one trace
+ * cache serves every virtualized mode (range included). Per mode, the
+ * recording call (first mode only), the snapshot-capture call (a full
+ * batched replay of the shared trace), a forked call, and a per-event
+ * replay of the cached trace all match a fresh generated run.
  */
 class TraceCacheEquivalence
     : public ::testing::TestWithParam<std::string>
@@ -53,6 +55,7 @@ TEST_P(TraceCacheEquivalence, CachedReplayMatchesFreshRun)
     const WorkloadParams params = smallParams();
     for (PageSize ps : {PageSize::Size4K, PageSize::Size2M}) {
         TraceCache cache;
+        SnapshotCache snaps;
         for (VirtMode mode : {VirtMode::Nested, VirtMode::Shadow,
                               VirtMode::Agile, VirtMode::Range}) {
             SCOPED_TRACE(wl + " " +
@@ -67,20 +70,31 @@ TEST_P(TraceCacheEquivalence, CachedReplayMatchesFreshRun)
                 ASSERT_NE(w, nullptr);
                 fresh = m.run(*w);
             }
-            // First mode records (and must equal the fresh run);
-            // later modes take the batched replay path.
-            RunResult batched =
-                runCellCached(cache, wl, params, cfg, true);
-            // The key is now warm, so this always replays per-event.
-            RunResult unbatched =
-                runCellCached(cache, wl, params, cfg, false);
+            // The first mode records (its own fresh run, seeding no
+            // snapshot), so its capture call comes second.
+            if (mode == VirtMode::Nested) {
+                expectSameResult(
+                    fresh, runCellSnapshotted(cache, snaps, wl, params,
+                                              cfg));
+            }
+            // Capture: replays the shared trace's warmup and measured
+            // region batched on the machine it warmed.
+            expectSameResult(
+                fresh, runCellSnapshotted(cache, snaps, wl, params, cfg));
+            // Fork: restores the captured image, measured region only.
+            expectSameResult(
+                fresh, runCellSnapshotted(cache, snaps, wl, params, cfg));
 
-            expectSameResult(fresh, batched);
-            expectSameResult(fresh, unbatched);
+            // The cached trace itself, replayed event by event.
+            expectSameResult(
+                fresh, replayCachedPerEvent(cache, wl, params, cfg));
         }
-        // One record per (workload, page size); everything else hit.
+        // One record per (workload, page size); every other obtain
+        // hit: 2 + 3 x 2 snapshotted calls, plus 4 direct lookups.
         EXPECT_EQ(cache.records(), 1u);
-        EXPECT_EQ(cache.replays(), 7u);
+        EXPECT_EQ(cache.replays(), 12u);
+        EXPECT_EQ(snaps.captures(), 4u);
+        EXPECT_EQ(snaps.forks(), 4u);
     }
 }
 
@@ -167,8 +181,9 @@ TEST(TraceCache, MatrixWithCacheMatchesMatrixWithout)
     std::vector<RunResult> plain = runFigure5Matrix(1'000, 1);
 
     TraceCache cache;
+    SnapshotCache snaps;
     std::vector<RunResult> cached =
-        runFigure5Matrix(1'000, 0, cachedCellFn(cache));
+        runFigure5Matrix(1'000, 0, snapshotCellFn(cache, snaps));
 
     ASSERT_EQ(plain.size(), cached.size());
     for (std::size_t i = 0; i < plain.size(); ++i) {

@@ -267,14 +267,18 @@ def check_throughput(doc):
     # the parallel speedup is exempt from the >=1 sanity bound.
     if not skipped:
         require(doc["speedup"] > 0, "speedup: must be positive")
-    for section, points in (("trace_cache", ("replay", "batched",
-                                             "regen")),
-                            ("snapshot_cache", ("fork",)),
+    for section, points in (("trace_cache", ("fresh",)),
+                            ("snapshot_cache", ("capture", "fork")),
                             ("machine_pool", ("pooled",))):
         for name in points:
             require(name in doc[section],
                     f"{section}: missing point '{name}'")
             check_point(doc[section][name], f"{section}.{name}")
+    for section, key in (("trace_cache", "speedup_vs_cold"),
+                         ("snapshot_cache", "speedup_vs_capture")):
+        require(key in doc[section], f"{section}: missing key '{key}'")
+        require(doc[section][key] > 0,
+                f"{section}.{key}: must be positive")
     filt = doc["filter"]
     for key in ("blocks_scanned", "lanes_scanned", "lanes_filtered",
                 "hit_mask_density", "bulk_retires"):
